@@ -7,18 +7,12 @@ degree constraints, 3 enumeration size bound exceeded.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 from typing import Sequence
 
-from .codec import (
-    OperatorAlphabet,
-    decode_prefix,
-    render_expression,
-    to_dot,
-    to_json,
-    to_sexpr,
-)
+from .codec import OperatorAlphabet, render_expression, to_dot, to_json, to_sexpr
 from .degrees import DegreeMultiset
 from .errors import (
     ChargeNotOneError,
@@ -111,6 +105,24 @@ def load_alphabet(path: str) -> OperatorAlphabet:
         raise AlphabetError(f"bad alphabet file {path!r}: {exc}") from exc
 
 
+def _int_in(low: int, high: float, expected: str):
+    """argparse ``type=`` accepting an integer in ``[low, high)``."""
+
+    def parse(text: str) -> int:
+        try:
+            if low <= (value := int(text)) < high:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+_positive = _int_in(1, float("inf"), "a positive integer")
+_seed = _int_in(0, 2**64, "a seed in [0, 2**64)")
+
+
 def _make_source(seed: int | None) -> RandomSource:
     # With no --seed the run still has to be replayable, so the
     # entropy-drawn seed is announced on stderr.
@@ -123,18 +135,12 @@ def _make_source(seed: int | None) -> RandomSource:
 def _format_tree(code: Sequence[int], fmt: str) -> str:
     if fmt == "prefix":
         return " ".join(map(str, code))
-    tree = decode_prefix(code)
-    if fmt == "sexpr":
-        return to_sexpr(tree)
-    if fmt == "json":
-        return to_json(tree)
-    return to_dot(tree)
+    # built per call, so wrappers later set on these module names apply
+    return {"sexpr": to_sexpr, "json": to_json, "dot": to_dot}[fmt](code)
 
 
 def _emit_trees(codes, fmt: str) -> None:
     rendered = [_format_tree(code, fmt) for code in codes]
-    if not rendered:
-        return
     if fmt == "dot":
         # dot records are multi-line; separate them with a blank line
         sys.stdout.write("\n".join(rendered))
@@ -160,7 +166,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     multiset = parse_degree_spec(args.degrees)
-    print(count_trees(multiset))
+    # str(int) stops at 4300 digits unless a process-wide limit is raised
+    print(decimal.Decimal(count_trees(multiset)))
     return EXIT_OK
 
 
@@ -192,9 +199,17 @@ def _cmd_fuzz_expr(args: argparse.Namespace) -> int:
     source = _make_source(args.seed)
     for _ in range(args.count):
         code = sample_tree(multiset, source)
-        tree = decode_prefix(code)
-        print(render_expression(tree, alphabet, source, style=args.style))
+        print(render_expression(code, alphabet, source, style=args.style))
     return EXIT_OK
+
+
+_EXIT_CODES = {
+    ValueError: EXIT_USAGE,
+    MissingArityError: EXIT_USAGE,
+    NotConstructibleError: EXIT_INFEASIBLE,
+    ChargeNotOneError: EXIT_INFEASIBLE,
+    EnumerationTooLargeError: EXIT_TOO_LARGE,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("check", _cmd_check, "report charge and feasibility")
 
     sample = add("sample", _cmd_sample, "draw uniformly random trees")
-    sample.add_argument("--seed", type=int, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
-    sample.add_argument("--count", type=int, default=1, metavar="N", help="number of trees (default 1)")
+    sample.add_argument("--seed", type=_seed, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
+    sample.add_argument("--count", type=_positive, default=1, metavar="N", help="number of trees (default 1)")
     sample.add_argument("--format", choices=_FORMATS, default="prefix")
 
     add("count", _cmd_count, "print the exact number of matching trees")
@@ -236,13 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     enumerate_cmd.add_argument("--format", choices=_FORMATS, default="prefix")
 
     stats = add("stats", _cmd_stats, "sample repeatedly and report observed frequencies")
-    stats.add_argument("--samples", type=int, required=True, metavar="N")
-    stats.add_argument("--seed", type=int, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
+    stats.add_argument("--samples", type=_positive, required=True, metavar="N")
+    stats.add_argument("--seed", type=_seed, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
 
     fuzz = add("fuzz-expr", _cmd_fuzz_expr, "render random trees as operator expressions")
     fuzz.add_argument("--alphabet", required=True, metavar="FILE", help="JSON map from arity to symbol list")
-    fuzz.add_argument("--seed", type=int, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
-    fuzz.add_argument("--count", type=int, default=1, metavar="N")
+    fuzz.add_argument("--seed", type=_seed, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
+    fuzz.add_argument("--count", type=_positive, default=1, metavar="N")
     fuzz.add_argument("--style", choices=("prefix", "infix"), default="prefix")
 
     return parser
@@ -256,15 +271,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (DegreeSpecError, AlphabetError, MissingArityError, ValueError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"degtree: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NotConstructibleError, ChargeNotOneError) as exc:
-        print(f"degtree: error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except EnumerationTooLargeError as exc:
-        print(f"degtree: error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

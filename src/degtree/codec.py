@@ -2,16 +2,17 @@
 
 A preorder outdegree code maps to a unique ordered tree: reading left to
 right, a symbol of value ``d`` opens a node that owns the next ``d``
-complete subtrees.  All traversals here are iterative with explicit
-stacks, so unary chains of millions of nodes never hit the interpreter
-recursion limit.
+complete subtrees.  The renderers and ``decode_prefix`` all read a code
+in one O(n) preorder pass with a stack of pending child counts, so each
+raises what ``decode_prefix`` raises on a malformed code, and nothing
+recurses: unary chains of millions of nodes are fine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import index
-from typing import Callable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import MissingArityError, TrailingSymbolsError, TruncatedCodeError
 
@@ -57,6 +58,46 @@ class OperatorAlphabet:
         return set(self._table)
 
 
+def _preorder(code: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """Walk a prefix code, yielding ``(position, degree, parent, closed)``.
+
+    ``parent`` is the position of the node's parent (-1 for the root), so
+    a node has an earlier sibling exactly when ``position > parent + 1``.
+    ``closed`` counts the internal nodes whose last subtree ends at this
+    node (0 except at leaves).  Raises what :func:`decode_prefix` documents,
+    at the first symbol that breaks the grammar or at the end of the code.
+    """
+    # [position, subtrees still missing] of each node whose subtree is open
+    stack: list[list[int]] = []
+    position = -1
+    for position, degree in enumerate(code):
+        degree = index(degree)
+        if degree < 0:
+            raise ValueError(f"outdegree at position {position} is negative")
+        if position and not stack:
+            raise TrailingSymbolsError(position)
+        parent = stack[-1][0] if stack else -1
+        closed = 0
+        if degree:
+            stack.append([position, degree])
+        else:
+            # a leaf completes one subtree of each ancestor it closes
+            while stack:
+                stack[-1][1] -= 1
+                if stack[-1][1]:
+                    break
+                stack.pop()
+                closed += 1
+        yield position, degree, parent, closed
+    if position < 0:
+        raise TruncatedCodeError("empty code: a tree needs at least one node")
+    if stack:
+        # Nodes yet to start a child: the innermost open one, and each
+        # other one missing more than the subtree in progress under it.
+        unstarted = 1 + sum(1 for _, missing in stack[:-1] if missing > 1)
+        raise TruncatedCodeError(f"code ended with {unstarted} node(s) still missing children")
+
+
 def decode_prefix(code: Sequence[int]) -> TreeNode:
     """Decode a preorder outdegree code into its unique tree.
 
@@ -64,36 +105,19 @@ def decode_prefix(code: Sequence[int]) -> TreeNode:
     codes.  Iterative, so arbitrarily deep chains are fine.
 
     Raises:
+        ValueError: a negative outdegree.
         TruncatedCodeError: the code ended (or was empty) while nodes
             still waited for children.
         TrailingSymbolsError: a complete tree was closed before the end;
             carries the position of the first extra symbol.
     """
-    root: TreeNode | None = None
-    open_nodes: list[TreeNode] = []  # nodes whose child lists are incomplete
-    for position, degree in enumerate(code):
-        degree = index(degree)
-        if degree < 0:
-            raise ValueError(f"outdegree at position {position} is negative")
+    nodes: list[TreeNode] = []
+    for _, degree, parent, _ in _preorder(code):
         node = TreeNode(degree)
-        if root is None:
-            root = node
-        elif open_nodes:
-            parent = open_nodes[-1]
-            parent.children.append(node)
-            if len(parent.children) == parent.outdegree:
-                open_nodes.pop()
-        else:
-            raise TrailingSymbolsError(position)
-        if node.outdegree > 0:
-            open_nodes.append(node)
-    if root is None:
-        raise TruncatedCodeError("empty code: a tree needs at least one node")
-    if open_nodes:
-        raise TruncatedCodeError(
-            f"code ended with {len(open_nodes)} node(s) still missing children"
-        )
-    return root
+        if parent >= 0:
+            nodes[parent].children.append(node)
+        nodes.append(node)
+    return nodes[0]
 
 
 def encode_prefix(tree: TreeNode) -> list[int]:
@@ -107,77 +131,53 @@ def encode_prefix(tree: TreeNode) -> list[int]:
     return out
 
 
-def _fold(tree: TreeNode, combine: Callable[[TreeNode, list], object]):
-    """Bottom-up fold: combine(node, child_values) -> value.  Iterative."""
-    values: list = []
-    stack: list[tuple[TreeNode, bool]] = [(tree, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            arity = node.outdegree
-            if arity:
-                args = values[-arity:]
-                del values[-arity:]
-            else:
-                args = []
-            values.append(combine(node, args))
-        else:
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(node.children))
-    return values[0]
-
-
-def to_sexpr(tree: TreeNode) -> str:
+def to_sexpr(code: Sequence[int]) -> str:
     """Parenthesised preorder: leaves as ``0``, a degree-d node as ``(d c1 ... cd)``."""
-    return _fold(
-        tree,
-        lambda node, parts: "0"
-        if node.outdegree == 0
-        else "({} {})".format(node.outdegree, " ".join(parts)),
+    return " ".join(
+        f"({degree}" if degree else "0" + ")" * closed
+        for _, degree, _, closed in _preorder(code)
     )
 
 
-def to_json(tree: TreeNode) -> str:
+def to_json(code: Sequence[int]) -> str:
     """Compact JSON nesting ``{"degree": d, "children": [...]}``.
 
     Parses back (for example with ``json.loads``) to a structure mirroring
     the tree exactly.
     """
-    return _fold(
-        tree,
-        lambda node, parts: '{"degree":%d,"children":[%s]}'
-        % (node.outdegree, ",".join(parts)),
-    )
+    pieces: list[str] = []
+    for position, degree, parent, closed in _preorder(code):
+        if position > parent + 1:
+            pieces.append(",")
+        if degree:
+            pieces.append('{"degree":%d,"children":[' % degree)
+        else:
+            pieces.append('{"degree":0,"children":[]}' + "]}" * closed)
+    return "".join(pieces)
 
 
-def to_dot(tree: TreeNode) -> str:
+def to_dot(code: Sequence[int]) -> str:
     """Graphviz digraph: nodes numbered in preorder, labelled by outdegree.
 
     All node lines come first (preorder order), then one edge line per
-    parent-child pair in visiting order.  Byte-stable for a given tree.
+    parent-child pair in visiting order.  Byte-stable for a given code.
     """
     labels: list[str] = []
     edges: list[str] = []
-    stack: list[tuple[TreeNode, int]] = [(tree, -1)]
-    next_id = 0
-    while stack:
-        node, parent_id = stack.pop()
-        node_id = next_id
-        next_id += 1
-        labels.append(f'  {node_id} [label="{node.outdegree}"];')
-        if parent_id >= 0:
-            edges.append(f"  {parent_id} -> {node_id};")
-        stack.extend((child, node_id) for child in reversed(node.children))
+    for position, degree, parent, _ in _preorder(code):
+        labels.append(f'  {position} [label="{degree}"];')
+        if parent >= 0:
+            edges.append(f"  {parent} -> {position};")
     return "digraph tree {\n" + "\n".join(labels + edges) + "\n}\n"
 
 
 def render_expression(
-    tree: TreeNode,
+    code: Sequence[int],
     alphabet: OperatorAlphabet,
     source,
     style: str = "prefix",
 ) -> str:
-    """Render ``tree`` as an expression, drawing each symbol uniformly.
+    """Render the tree of ``code`` as an expression, drawing each symbol uniformly.
 
     Symbols are assigned in preorder via ``source.next_below``; the source
     must not be one that is mid-way through producing the tree itself,
@@ -188,41 +188,28 @@ def render_expression(
       unary as ``op(a)``, arity >= 3 as calls ``op(a1, a2, a3)``, leaves
       as bare symbols.
 
-    Raises:
-        MissingArityError: some outdegree in the tree has no alphabet
-            entry (checked before any randomness is consumed).
-        ValueError: unknown style.
+    Raises, each before any symbol is drawn:
+        ValueError: unknown style, or a negative outdegree.
+        TruncatedCodeError, TrailingSymbolsError: ``code`` is malformed.
+        MissingArityError: some outdegree in the code has no alphabet
+            entry.
     """
     if style not in ("prefix", "infix"):
         raise ValueError(f"unknown style {style!r}")
-    seen: set[int] = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        seen.add(node.outdegree)
-        stack.extend(node.children)
-    for arity in sorted(seen):
+    nodes = list(_preorder(code))
+    for arity in sorted(set(code)):
         alphabet.symbols_for(arity)
-    chosen: dict[int, str] = {}
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        options = alphabet.symbols_for(node.outdegree)
-        chosen[id(node)] = options[source.next_below(len(options))]
-        stack.extend(reversed(node.children))
+    labels = [s[source.next_below(len(s))] for s in map(alphabet.symbols_for, code)]
     if style == "prefix":
-        return _fold(
-            tree, lambda node, parts: " ".join([chosen[id(node)], *parts])
-        )
-
-    def infix(node: TreeNode, parts: list) -> str:
-        symbol = chosen[id(node)]
-        if node.outdegree == 0:
-            return symbol
-        if node.outdegree == 1:
-            return f"{symbol}({parts[0]})"
-        if node.outdegree == 2:
-            return f"({parts[0]} {symbol} {parts[1]})"
-        return "{}({})".format(symbol, ", ".join(parts))
-
-    return _fold(tree, infix)
+        return " ".join(labels)
+    pieces: list[str] = []
+    for position, degree, parent, closed in nodes:
+        if position > parent + 1:
+            pieces.append(f" {labels[parent]} " if code[parent] == 2 else ", ")
+        if degree == 0:
+            pieces.append(labels[position] + ")" * closed)
+        elif degree == 2:
+            pieces.append("(")
+        else:
+            pieces.append(labels[position] + "(")
+    return "".join(pieces)

@@ -3,13 +3,14 @@
 Ground truth for the sampler: enumeration walks every distinct permutation
 of the degree list and keeps the well-formed ones, while ``count_trees``
 evaluates the closed form ``(n! / prod(m_d!)) / n`` in exact integer
-arithmetic.  The test suite holds the two routes equal over a full sweep
-of small multisets before either is trusted.
+arithmetic, the multinomial as a product of binomial coefficients.  The
+test suite holds the two routes equal over a full sweep of small
+multisets before either is trusted.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator
 
 from .degrees import DegreeMultiset, is_well_formed
@@ -67,8 +68,10 @@ def count_trees(multiset: DegreeMultiset) -> int:
 
     Evaluates ``(n! / prod(m_d!)) / n``: the numerator counts the
     pairwise-different orderings of the degree list, and exactly one
-    ordering in n is well-formed.  Both divisions are checked to be exact;
-    arbitrary-precision integers keep large multisets exact too.
+    ordering in n is well-formed.  The numerator is built as the product
+    of ``comb(m_1 + ... + m_i, m_i)``, which places each degree's copies
+    among the slots filled so far; the division by n is checked to be
+    exact.  Arbitrary-precision integers keep large multisets exact too.
 
     Raises:
         NotConstructibleError: if the multiset charge differs from 1.
@@ -77,17 +80,14 @@ def count_trees(multiset: DegreeMultiset) -> int:
     if total_charge != 1:
         raise NotConstructibleError(total_charge)
     n = multiset.total_nodes
-    denominator = 1
+    orderings = 1
+    placed = 0
     for multiplicity in multiset.counts.values():
-        denominator *= factorial(multiplicity)
-    orderings, remainder = divmod(factorial(n), denominator)
-    if remainder:
-        raise RuntimeError("multinomial coefficient was not exact")
+        placed += multiplicity
+        orderings *= comb(placed, multiplicity)
     count, remainder = divmod(orderings, n)
     if remainder:
-        raise RuntimeError(
-            f"ordering count {orderings} not divisible by {n}; invariant broken"
-        )
+        raise RuntimeError(f"ordering count not divisible by {n}; invariant broken")
     return count
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .degrees import DegreeMultiset, charge
+from .degrees import DegreeMultiset, charge, decompose
 from .errors import ChargeNotOneError, NotConstructibleError
 from .rng import RandomSource
 
@@ -75,44 +75,29 @@ def find_rotation_point(degrees: Sequence[int]) -> int:
 
     The scan keeps a running charge that resets to 0 each time it hits 1;
     the returned ``k`` is the position of the last reset, which equals the
-    length of the maximal leading run of complete tree codes
-    (:func:`degtree.degrees.decompose` mirrors the same greedy rule).
-    Rotating there,
+    length of the maximal leading run of complete tree codes, i.e.
+    ``decompose(degrees).complete_prefix_length``.  Rotating there,
     ``degrees[k:] + degrees[:k]``, always yields a well-formed code.  For
     well-formed input ``k == len(degrees)``.
 
     Raises:
         ChargeNotOneError: if the total charge differs from 1.
     """
-    total = charge(degrees)
-    if total != 1:
-        raise ChargeNotOneError(total)
-    if len(degrees) >= _VECTOR_THRESHOLD:
-        k = _rotation_point_vectorized(degrees)
-    else:
-        k = _rotation_point_scan(degrees)
-    if k == 0:
-        # A charge-1 sequence always opens with at least one complete code.
-        raise RuntimeError("no rotation point found in a charge-1 sequence")
-    return k
-
-
-def _rotation_point_scan(degrees: Sequence[int]) -> int:
-    running = 0
-    k = 0
-    for position, degree in enumerate(degrees, start=1):
-        running += 1 - degree
-        if running == 1:
-            running = 0
-            k = position
-    return k
+    if len(degrees) < _VECTOR_THRESHOLD:
+        return decompose(degrees).complete_prefix_length
+    return _rotation_point_vectorized(degrees)
 
 
 def _rotation_point_vectorized(degrees: Sequence[int]) -> int:
     # The last reset of the scan is the first position where the plain
     # prefix charge attains its maximum: resets happen exactly where the
     # prefix charge first reaches 1, 2, 3, ...
-    prefix = np.cumsum(1 - np.asarray(degrees, dtype=np.int64))
+    values = np.asarray(degrees, dtype=np.int64)
+    prefix = np.cumsum(1 - values)
+    if prefix[-1] != 1 or values.max() >= len(values):
+        # A degree of n or more rules out charge 1, and could have wrapped
+        # the int64 sums; the error reports the exact charge.
+        raise ChargeNotOneError(charge(degrees))
     return int(np.argmax(prefix)) + 1
 
 

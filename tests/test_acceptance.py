@@ -15,6 +15,7 @@ import pytest
 from conftest import constructible_multisets
 from degtree import (
     DegreeMultiset,
+    OperatorAlphabet,
     RandomSource,
     catalan,
     count_trees,
@@ -23,8 +24,12 @@ from degtree import (
     enumerate_trees,
     find_rotation_point,
     is_well_formed,
+    render_expression,
     rotate,
     sample_tree,
+    to_dot,
+    to_json,
+    to_sexpr,
     uniformity_report,
 )
 from test_cli import check_golden, parse_sexpr, run as run_cli
@@ -222,4 +227,37 @@ def test_criterion_9_round_trips_and_cli_golden(well_formed_family, capsys):
     print(
         f"PASS criterion 9: encode/decode identity on {len(well_formed_family)} "
         "codes; CLI transcripts byte-identical to golden files"
+    )
+
+
+def test_criterion_10_linear_time_rendering():
+    alphabet = OperatorAlphabet({0: ["x", "y"], 1: ["neg"], 2: ["+", "*"]})
+    renderers = {
+        "sexpr": to_sexpr,
+        "json": to_json,
+        "dot": to_dot,
+        "infix": lambda code: render_expression(code, alphabet, RandomSource(1), "infix"),
+    }
+    # {0: k + 1, 1: k, 2: k} has 3k + 1 nodes: 1e5 and 4e5
+    small, large = (
+        sample_tree(DegreeMultiset({0: k + 1, 1: k, 2: k}), RandomSource(k))
+        for k in (33333, 133333)
+    )
+    assert (len(small), len(large)) == (100000, 400000)
+    ratios = {}
+    for name, render in renderers.items():
+        times = {len(small): [], len(large): []}
+        for _ in range(5):
+            # sizes alternate so that drifts in machine speed hit both alike
+            for code in (small, large):
+                begin = time.perf_counter()
+                render(code)
+                times[len(code)].append(time.perf_counter() - begin)
+        median_small = statistics.median(times[len(small)])
+        median_large = statistics.median(times[len(large)])
+        ratios[name] = median_large / median_small
+        assert median_large <= 6 * median_small, (name, median_small, median_large)
+    print(
+        "PASS criterion 10: render time at 4e5 nodes over 1e5 nodes, "
+        + ", ".join(f"{name} {ratio:.2f}x" for name, ratio in ratios.items())
     )

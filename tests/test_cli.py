@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,21 @@ class TestCount:
         assert code == 2
         assert "charge 0" in err
 
+    def test_count_beyond_the_int_string_limit(self, capsys):
+        # Catalan(10000) has 6015 digits; Python 3.11 refuses str() of an
+        # int over 4300 digits, so read the printed digits back in chunks
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(["count", "--degrees", "0:10001,2:10000"], capsys)
+        assert (code, err) == (0, "")
+        digits = out.rstrip("\n")
+        assert digits.isdigit() and len(digits) > 4300
+        value = 0
+        for start in range(0, len(digits), 1000):
+            chunk = digits[start : start + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == comb(20000, 10000) // 10001
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
 
 class TestEnumerate:
     def test_sorted_output(self, capsys):
@@ -351,6 +367,21 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sample", "--degrees", "0,0,2", "--count", "-3"], "positive"),
+            (["sample", "--degrees", "0,0,2", "--seed", str(2**64 + 7)], "2**64"),
+            (["stats", "--degrees", "0:3,2:2", "--samples", "-1"], "positive"),
+        ],
+        ids=["negative_count", "seed_beyond_64_bits", "negative_samples_unseeded"],
+    )
+    def test_out_of_range_numbers_rejected_before_any_work(self, capsys, argv, message):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert message in err
+        assert "seed=" not in err
 
 
 def test_module_entry_point():

@@ -29,32 +29,70 @@ def figure_tree():
     return TreeNode(3, [TreeNode(1, [leaf()]), TreeNode(2, [leaf(), leaf()]), leaf()])
 
 
+FIGURE_CODE = [3, 1, 0, 2, 0, 0, 0]
+
+
+class CountingSource:
+    """next_below stub that counts its draws."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def next_below(self, bound):
+        self.calls += 1
+        return 0
+
+
+def render_undrawn(code):
+    """render_expression that fails the test if it draws a symbol."""
+    source = CountingSource()
+    try:
+        return render_expression(code, OperatorAlphabet({d: ["s"] for d in range(5)}), source)
+    finally:
+        assert source.calls == 0, "symbols drawn before the code was rejected"
+
+
+# Every reader of a prefix code rejects a malformed one the same way.
+READERS = pytest.mark.parametrize(
+    "read",
+    [decode_prefix, to_sexpr, to_json, to_dot, render_undrawn],
+    ids=["decode_prefix", "to_sexpr", "to_json", "to_dot", "render_expression"],
+)
+
+
 class TestDecode:
     def test_leaf(self):
         assert decode_prefix([0]) == leaf()
 
     def test_mixed_arity_tree(self):
-        assert decode_prefix([3, 1, 0, 2, 0, 0, 0]) == figure_tree()
+        assert decode_prefix(FIGURE_CODE) == figure_tree()
 
-    def test_truncated(self):
+    @READERS
+    def test_truncated(self, read):
         with pytest.raises(TruncatedCodeError):
-            decode_prefix([2, 0])
+            read([2, 0])
+        with pytest.raises(TruncatedCodeError, match="2 node"):
+            read([2, 2, 0])
+        with pytest.raises(TruncatedCodeError, match="1 node"):
+            read([2, 0, 1])
+        with pytest.raises(TruncatedCodeError, match="empty"):
+            read([])
         with pytest.raises(TruncatedCodeError):
-            decode_prefix([])
-        with pytest.raises(TruncatedCodeError):
-            decode_prefix([3, 0, 0])
+            read([3, 0, 0])
 
-    def test_trailing_symbols(self):
+    @READERS
+    def test_trailing_symbols(self, read):
         with pytest.raises(TrailingSymbolsError) as info:
-            decode_prefix([0, 0])
+            read([0, 0])
         assert info.value.position == 1
         with pytest.raises(TrailingSymbolsError) as info:
-            decode_prefix([2, 0, 0, 1, 0])
+            read([2, 0, 0, 1, 0])
         assert info.value.position == 3
 
-    def test_negative_degree(self):
-        with pytest.raises(ValueError):
-            decode_prefix([2, -1, 0])
+    @READERS
+    def test_negative_degree(self, read):
+        with pytest.raises(ValueError, match="position 1"):
+            read([2, -1, 0])
 
     def test_agrees_with_charge_criterion_exhaustively(self):
         # full sweep, malformed inputs included: decoding succeeds exactly
@@ -107,28 +145,27 @@ def test_deep_chain_needs_no_recursion():
 
 def test_renders_handle_deep_chains():
     code = [1] * 50000 + [0]
-    tree = decode_prefix(code)
-    assert to_sexpr(tree).startswith("(1 (1 ")
-    assert to_dot(tree).endswith("}\n")
-    assert to_json(tree).count('"degree":1') == 50000
+    assert to_sexpr(code).startswith("(1 (1 ")
+    assert to_dot(code).endswith("}\n")
+    assert to_json(code).count('"degree":1') == 50000
     alphabet = OperatorAlphabet({0: ["x"], 1: ["f"]})
-    rendered = render_expression(tree, alphabet, RandomSource(1), style="infix")
+    rendered = render_expression(code, alphabet, RandomSource(1), style="infix")
     assert rendered == "f(" * 50000 + "x" + ")" * 50000
 
 
 class TestSexpr:
     def test_examples(self):
-        assert to_sexpr(leaf()) == "0"
-        assert to_sexpr(decode_prefix([2, 0, 0])) == "(2 0 0)"
-        assert to_sexpr(figure_tree()) == "(3 (1 0) (2 0 0) 0)"
+        assert to_sexpr([0]) == "0"
+        assert to_sexpr([2, 0, 0]) == "(2 0 0)"
+        assert to_sexpr(FIGURE_CODE) == "(3 (1 0) (2 0 0) 0)"
 
 
 class TestDot:
     def test_leaf(self):
-        assert to_dot(leaf()) == 'digraph tree {\n  0 [label="0"];\n}\n'
+        assert to_dot([0]) == 'digraph tree {\n  0 [label="0"];\n}\n'
 
     def test_binary(self):
-        assert to_dot(decode_prefix([2, 0, 0])) == (
+        assert to_dot([2, 0, 0]) == (
             "digraph tree {\n"
             '  0 [label="2"];\n'
             '  1 [label="0"];\n'
@@ -139,7 +176,7 @@ class TestDot:
         )
 
     def test_unary_chain_numbers_in_preorder(self):
-        assert to_dot(decode_prefix([1, 1, 0])) == (
+        assert to_dot([1, 1, 0]) == (
             "digraph tree {\n"
             '  0 [label="1"];\n'
             '  1 [label="1"];\n'
@@ -152,8 +189,8 @@ class TestDot:
 
 class TestJson:
     def test_examples(self):
-        assert to_json(leaf()) == '{"degree":0,"children":[]}'
-        assert to_json(decode_prefix([2, 0, 0])) == (
+        assert to_json([0]) == '{"degree":0,"children":[]}'
+        assert to_json([2, 0, 0]) == (
             '{"degree":2,"children":[{"degree":0,"children":[]},'
             '{"degree":0,"children":[]}]}'
         )
@@ -165,8 +202,7 @@ class TestJson:
 
     def test_round_trips_through_a_json_parser(self, well_formed_family):
         for seq in well_formed_family[::11]:
-            tree = decode_prefix(seq)
-            assert self.rebuild(json.loads(to_json(tree))) == tree
+            assert self.rebuild(json.loads(to_json(seq))) == decode_prefix(seq)
 
 
 ARITH = OperatorAlphabet(
@@ -228,23 +264,17 @@ class TestRenderExpression:
     def test_forced_choices(self):
         source = RandomSource(0)
         x_only = OperatorAlphabet({0: ["x"]})
-        assert render_expression(leaf(), x_only, source) == "x"
+        assert render_expression([0], x_only, source) == "x"
         plus = OperatorAlphabet({0: ["x"], 2: ["+"]})
-        tree = decode_prefix([2, 0, 0])
-        assert render_expression(tree, plus, source, style="infix") == "(x + x)"
-        assert render_expression(tree, plus, source, style="prefix") == "+ x x"
+        assert render_expression([2, 0, 0], plus, source, style="infix") == "(x + x)"
+        assert render_expression([2, 0, 0], plus, source, style="prefix") == "+ x x"
 
     def test_unary_and_wide_calls(self):
         source = RandomSource(0)
         alphabet = OperatorAlphabet({0: ["v"], 1: ["neg"], 3: ["f"]})
+        assert render_expression([1, 0], alphabet, source, style="infix") == "neg(v)"
         assert (
-            render_expression(decode_prefix([1, 0]), alphabet, source, style="infix")
-            == "neg(v)"
-        )
-        assert (
-            render_expression(
-                decode_prefix([3, 0, 0, 0]), alphabet, source, style="infix"
-            )
+            render_expression([3, 0, 0, 0], alphabet, source, style="infix")
             == "f(v, v, v)"
         )
 
@@ -259,35 +289,25 @@ class TestRenderExpression:
                 return value
 
         alphabet = OperatorAlphabet({0: ["x", "y"], 2: ["+", "*"]})
-        tree = decode_prefix([2, 0, 0])
-        rendered = render_expression(tree, alphabet, Scripted([0, 1, 0]), style="infix")
+        rendered = render_expression([2, 0, 0], alphabet, Scripted([0, 1, 0]), style="infix")
         assert rendered == "(y + x)"
 
     def test_missing_arity_checked_before_drawing(self):
-        class Counting:
-            def __init__(self):
-                self.calls = 0
-
-            def next_below(self, bound):
-                self.calls += 1
-                return 0
-
-        source = Counting()
+        source = CountingSource()
         alphabet = OperatorAlphabet({0: ["x"]})
         with pytest.raises(MissingArityError) as info:
-            render_expression(decode_prefix([2, 0, 0]), alphabet, source)
+            render_expression([2, 0, 0], alphabet, source)
         assert info.value.arity == 2
         assert source.calls == 0
 
     def test_unknown_style(self):
         with pytest.raises(ValueError):
-            render_expression(leaf(), OperatorAlphabet({0: ["x"]}), RandomSource(1), style="postfix")
+            render_expression([0], OperatorAlphabet({0: ["x"]}), RandomSource(1), style="postfix")
 
     def test_infix_reparses_to_the_same_degrees(self, well_formed_family):
         source = RandomSource(2718)
         for seq in well_formed_family[::7]:
-            tree = decode_prefix(seq)
-            rendered = render_expression(tree, ARITH, source, style="infix")
+            rendered = render_expression(seq, ARITH, source, style="infix")
             assert parse_infix(rendered) == list(seq), rendered
 
 

@@ -18,7 +18,7 @@ from degtree import (
     rotate,
     sample_tree,
 )
-from degtree.sampling import _rotation_point_scan, _rotation_point_vectorized
+from degtree.sampling import _rotation_point_vectorized
 
 
 class ScriptedSource:
@@ -108,13 +108,18 @@ class TestFindRotationPoint:
         assert info.value.charge == 0
         with pytest.raises(ChargeNotOneError):
             find_rotation_point([])
+        with pytest.raises(ChargeNotOneError) as info:  # the vectorised path
+            find_rotation_point([0] * 2000)
+        assert info.value.charge == 2000
+        with pytest.raises(ChargeNotOneError) as info:  # int64 sums wrap to 1
+            find_rotation_point([2**63 - 1, 2**63 - 1, 1504] + [0] * 1500)
+        assert info.value.charge == 1 - 2**64
 
     def test_matches_decomposition_exhaustively(self, charge_one_family):
         for seq in charge_one_family:
-            k = find_rotation_point(seq)
+            k = decompose(seq).complete_prefix_length
             assert 1 <= k <= len(seq)
-            assert k == decompose(seq).complete_prefix_length
-            assert _rotation_point_scan(seq) == _rotation_point_vectorized(seq) == k
+            assert find_rotation_point(seq) == _rotation_point_vectorized(seq) == k
 
     def test_well_formed_input_is_fixpoint(self, well_formed_family):
         for seq in well_formed_family:
