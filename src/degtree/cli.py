@@ -105,22 +105,14 @@ def load_alphabet(path: str) -> OperatorAlphabet:
         raise AlphabetError(f"bad alphabet file {path!r}: {exc}") from exc
 
 
-def _int_in(low: int, high: float, expected: str):
-    """argparse ``type=`` accepting an integer in ``[low, high)``."""
-
-    def parse(text: str) -> int:
-        try:
-            if low <= (value := int(text)) < high:
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-
-    return parse
-
-
-_positive = _int_in(1, float("inf"), "a positive integer")
-_seed = _int_in(0, 2**64, "a seed in [0, 2**64)")
+def _positive(text: str) -> int:
+    """argparse ``type=`` accepting a positive integer."""
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _make_source(seed: int | None) -> RandomSource:
@@ -241,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("check", _cmd_check, "report charge and feasibility")
 
     sample = add("sample", _cmd_sample, "draw uniformly random trees")
-    sample.add_argument("--seed", type=_seed, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
+    sample.add_argument("--seed", type=int, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
     sample.add_argument("--count", type=_positive, default=1, metavar="N", help="number of trees (default 1)")
     sample.add_argument("--format", choices=_FORMATS, default="prefix")
 
@@ -252,11 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = add("stats", _cmd_stats, "sample repeatedly and report observed frequencies")
     stats.add_argument("--samples", type=_positive, required=True, metavar="N")
-    stats.add_argument("--seed", type=_seed, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
+    stats.add_argument("--seed", type=int, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
 
     fuzz = add("fuzz-expr", _cmd_fuzz_expr, "render random trees as operator expressions")
     fuzz.add_argument("--alphabet", required=True, metavar="FILE", help="JSON map from arity to symbol list")
-    fuzz.add_argument("--seed", type=_seed, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
+    fuzz.add_argument("--seed", type=int, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
     fuzz.add_argument("--count", type=_positive, default=1, metavar="N")
     fuzz.add_argument("--style", choices=("prefix", "infix"), default="prefix")
 

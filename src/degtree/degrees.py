@@ -143,27 +143,31 @@ def is_constructible(multiset: DegreeMultiset) -> bool:
     return multiset.charge == 1
 
 
+def _charge_peak(degrees: Sequence[int]) -> tuple[int, int]:
+    # One pass: the first 1-based position where the prefix charge is
+    # highest, that height, and the total-charge check.
+    running = height = position = 0
+    for i, degree in enumerate(degrees, start=1):
+        running += 1 - degree
+        if running > height:
+            height, position = running, i
+    if running != 1:
+        raise ChargeNotOneError(running)
+    return position, height
+
+
 def decompose(degrees: Sequence[int]) -> SegmentDecomposition:
     """Greedily split ``degrees`` into complete tree codes plus a deficient tail.
 
-    Scans left to right, cutting a segment each time the running charge
-    reaches 1; every cut is therefore the shortest remaining prefix that
-    completes a tree.  Requires total charge 1.  A well-formed input
+    Each cut is the shortest remaining prefix that completes a tree.  Since
+    the prefix charge rises by at most 1 per symbol, the cuts fall where it
+    first reaches 1, 2, 3, ...: the last cut is the first position where the
+    prefix charge is highest, and the number of cuts is that height, so one
+    scan finds both.  Requires total charge 1.  A well-formed input
     decomposes as a single segment covering the whole sequence.
 
     Raises:
         ChargeNotOneError: if the total charge differs from 1.
     """
-    total = charge(degrees)
-    if total != 1:
-        raise ChargeNotOneError(total)
-    running = 0
-    segments = 0
-    prefix_length = 0
-    for position, degree in enumerate(degrees, start=1):
-        running += 1 - degree
-        if running == 1:
-            running = 0
-            segments += 1
-            prefix_length = position
-    return SegmentDecomposition(prefix_length, segments, 1 - segments)
+    position, height = _charge_peak(degrees)
+    return SegmentDecomposition(position, height, 1 - height)

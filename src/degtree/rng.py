@@ -15,6 +15,7 @@ files in the test suite depend on that.
 from __future__ import annotations
 
 import secrets
+from operator import index
 
 import numpy as np
 
@@ -36,14 +37,19 @@ class RandomSource:
 
     Identical seeds and identical call sequences produce identical draws.
     Without an explicit seed, one is taken from system entropy and kept in
-    ``self.seed`` so the run can be replayed.  Instances are not
-    thread-safe; give each thread its own source.
+    ``self.seed`` so the run can be replayed.  An explicit seed must lie in
+    ``[0, 2**64)``; any other value raises ``ValueError`` rather than
+    aliasing another seed's stream.  Instances are not thread-safe; give
+    each thread its own source.
     """
 
     def __init__(self, seed: int | None = None):
         if seed is None:
             seed = secrets.randbits(64)
-        self.seed = seed & _MASK64
+        seed = index(seed)
+        if not 0 <= seed < _WORD_SPAN:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        self.seed = seed
         self._count = 0
 
     def next_word(self) -> int:

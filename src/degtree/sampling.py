@@ -7,6 +7,12 @@ sequence exactly one is well-formed (the cycle lemma), and every tree is
 hit by equally many shuffles, so the output is uniform over all trees
 satisfying the multiset.  Each stage is linear in the node count.
 
+Each stage has one kernel.  The shuffle's single swap loop takes its
+draws from ``next_below``, or from one numpy batch over the same words
+for a :class:`RandomSource` of ``_VECTOR_THRESHOLD`` or more nodes.  The
+rotation point is the first peak of the prefix charge, scanned in Python
+below that size and found by ``cumsum``/``argmax`` above it.
+
 Indexing: the rotation point ``k`` returned by ``find_rotation_point`` is
 both the 1-based position of the last symbol of the complete-expression
 prefix and the number of leading symbols ``rotate`` moves to the back, so
@@ -19,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .degrees import DegreeMultiset, charge, decompose
+from .degrees import DegreeMultiset, _charge_peak, charge
 from .errors import ChargeNotOneError, NotConstructibleError
 from .rng import RandomSource
 
@@ -33,65 +39,53 @@ def fisher_yates_shuffle(degrees: Sequence[int], source) -> list[int]:
     ``source`` needs only a ``next_below(bound)`` method; indices are
     drawn back to front, one draw per position, so a stub source scripted
     with ``len(degrees) - 1`` values walks every permutation path exactly
-    once.  A :class:`RandomSource` additionally gets a vectorised batch
-    fast path that consumes the identical word stream.
+    once.  A :class:`RandomSource` additionally gets its draws computed in
+    one numpy batch that consumes the identical word stream.
     """
     values = list(degrees)
-    if len(values) >= _VECTOR_THRESHOLD and isinstance(source, RandomSource):
-        return _shuffle_batched(values, source)
-    for i in range(len(values) - 1, 0, -1):
-        j = source.next_below(i + 1)
+    n = len(values)
+    draws = None
+    if n >= _VECTOR_THRESHOLD and isinstance(source, RandomSource):
+        draws = _batched_draws(n, source)
+    if draws is None:
+        draws = [source.next_below(bound) for bound in range(n, 1, -1)]
+    for i, j in zip(range(n - 1, 0, -1), draws):
         values[i], values[j] = values[j], values[i]
     return values
 
 
-def _shuffle_batched(values: list[int], source: RandomSource) -> list[int]:
-    # One word per position, same order as the scalar loop.  If any word
-    # lands in a rejection zone (probability < n**2 / 2**64) the batch is
-    # rewound and the scalar loop rerun, keeping both paths on one stream.
-    n = len(values)
+def _batched_draws(n: int, source: RandomSource) -> list[int] | None:
+    # One word per position, in next_below's order.  If any word lands in
+    # a rejection zone (probability < n**2 / 2**64) the batch is rewound
+    # and None returned, so the caller redraws on the same stream.
     words = source.next_words(n - 1)
     bounds = np.arange(n, 1, -1, dtype=np.uint64)
     remainders = (np.uint64(0) - bounds) % bounds  # 2**64 mod bound
     thresholds = np.uint64(0) - remainders  # wraps to 0 when bound divides 2**64
-    rejected = (remainders != np.uint64(0)) & (words >= thresholds)
-    if rejected.any():
+    if ((remainders != np.uint64(0)) & (words >= thresholds)).any():
         source.rewind(n - 1)
-        for i in range(n - 1, 0, -1):
-            j = source.next_below(i + 1)
-            values[i], values[j] = values[j], values[i]
-        return values
-    draws = (words % bounds).tolist()
-    position = 0
-    for i in range(n - 1, 0, -1):
-        j = draws[position]
-        position += 1
-        values[i], values[j] = values[j], values[i]
-    return values
+        return None
+    return (words % bounds).tolist()
 
 
 def find_rotation_point(degrees: Sequence[int]) -> int:
-    """Largest position at which the resetting running charge reaches 1.
+    """First position at which the prefix charge attains its maximum.
 
-    The scan keeps a running charge that resets to 0 each time it hits 1;
-    the returned ``k`` is the position of the last reset, which equals the
-    length of the maximal leading run of complete tree codes, i.e.
-    ``decompose(degrees).complete_prefix_length``.  Rotating there,
-    ``degrees[k:] + degrees[:k]``, always yields a well-formed code.  For
-    well-formed input ``k == len(degrees)``.
+    That position ``k`` is the length of the maximal leading run of
+    complete tree codes, i.e. ``decompose(degrees).complete_prefix_length``.
+    Rotating there, ``degrees[k:] + degrees[:k]``, always yields a
+    well-formed code.  For well-formed input ``k == len(degrees)``.
 
     Raises:
         ChargeNotOneError: if the total charge differs from 1.
     """
     if len(degrees) < _VECTOR_THRESHOLD:
-        return decompose(degrees).complete_prefix_length
+        return _charge_peak(degrees)[0]
     return _rotation_point_vectorized(degrees)
 
 
 def _rotation_point_vectorized(degrees: Sequence[int]) -> int:
-    # The last reset of the scan is the first position where the plain
-    # prefix charge attains its maximum: resets happen exactly where the
-    # prefix charge first reaches 1, 2, 3, ...
+    # _charge_peak's position, from numpy's cumsum and first argmax.
     values = np.asarray(degrees, dtype=np.int64)
     prefix = np.cumsum(1 - values)
     if prefix[-1] != 1 or values.max() >= len(values):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .degrees import DegreeMultiset
 from .errors import NotConstructibleError
-from .oracle import DEFAULT_ENUMERATION_BOUND, enumerate_trees
+from .oracle import enumerate_trees
 from .rng import RandomSource
 from .sampling import sample_tree
 
@@ -46,7 +46,6 @@ def uniformity_report(
     multiset: DegreeMultiset,
     samples: int,
     source: RandomSource,
-    bound: int = DEFAULT_ENUMERATION_BOUND,
 ) -> FrequencyReport:
     """Draw ``samples`` trees and tabulate them over the full outcome space.
 
@@ -57,8 +56,8 @@ def uniformity_report(
 
     Raises:
         NotConstructibleError: the multiset admits no tree.
-        EnumerationTooLargeError: the outcome space is not enumerable
-            within ``bound``.
+        EnumerationTooLargeError: the multiset has more nodes than
+            ``enumerate_trees`` enumerates by default.
         ValueError: ``samples`` is not positive.
     """
     if samples <= 0:
@@ -66,7 +65,7 @@ def uniformity_report(
     total_charge = multiset.charge
     if total_charge != 1:
         raise NotConstructibleError(total_charge)
-    outcomes = enumerate_trees(multiset, bound)
+    outcomes = enumerate_trees(multiset)
     counts = {code: 0 for code in sorted(outcomes)}
     for _ in range(samples):
         code = tuple(sample_tree(multiset, source))

@@ -46,6 +46,13 @@ def test_entropy_seed_is_recorded():
     ]
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    # masking would silently replay another seed's stream
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        RandomSource(seed)
+
+
 def test_batch_words_match_scalar_words():
     scalar = RandomSource(77)
     batched = RandomSource(77)

@@ -18,6 +18,7 @@ from degtree import (
     rotate,
     sample_tree,
 )
+from degtree.rng import _GOLDEN, _MIX1, _MIX2
 from degtree.sampling import _rotation_point_vectorized
 
 
@@ -31,6 +32,20 @@ class ScriptedSource:
         value = self.script.pop(0)
         assert 0 <= value < bound
         return value
+
+
+def _unmix(word):
+    """Inverse of splitmix64's finaliser ``rng._mix``."""
+
+    def unshift(y, s):  # invert y = x ^ (x >> s)
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(word, 31) * pow(_MIX2, -1, 2**64) % 2**64
+    z = unshift(z, 27) * pow(_MIX1, -1, 2**64) % 2**64
+    return unshift(z, 30)
 
 
 class ScalarOnly:
@@ -81,6 +96,17 @@ class TestShuffle:
         fast = fisher_yates_shuffle(values, RandomSource(420))
         slow = fisher_yates_shuffle(values, ScalarOnly(420))
         assert fast == slow
+
+    def test_rejection_fallback_equals_scalar_path(self):
+        # the seed's first word is 2**64 - 1, which next_below(1025)
+        # rejects, so the batched draw must rewind and redraw
+        seed = (_unmix(2**64 - 1) - _GOLDEN) % 2**64
+        assert RandomSource(seed).next_word() == 2**64 - 1
+        fast, slow = RandomSource(seed), ScalarOnly(seed)
+        assert fisher_yates_shuffle(range(1025), fast) == fisher_yates_shuffle(
+            range(1025), slow
+        )
+        assert fast.next_word() == slow._source.next_word()
 
     def test_default_source_shuffles_uniformly(self):
         source = RandomSource(1)
