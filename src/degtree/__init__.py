@@ -47,7 +47,13 @@ from .oracle import (
     enumerate_trees,
 )
 from .rng import RandomSource
-from .sampling import fisher_yates_shuffle, find_rotation_point, rotate, sample_tree
+from .sampling import (
+    find_rotation_point,
+    fisher_yates_shuffle,
+    rotate,
+    sample_tree,
+    sample_trees,
+)
 from .stats import FrequencyReport, uniformity_report
 
 __version__ = "0.1.0"
@@ -85,6 +91,7 @@ __all__ = [
     "render_expression",
     "rotate",
     "sample_tree",
+    "sample_trees",
     "to_dot",
     "to_json",
     "to_sexpr",

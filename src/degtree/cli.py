@@ -22,7 +22,7 @@ from .errors import (
 )
 from .oracle import count_trees, enumerate_trees
 from .rng import RandomSource
-from .sampling import sample_tree
+from .sampling import sample_tree, sample_trees
 from .stats import uniformity_report
 
 EXIT_OK = 0
@@ -151,7 +151,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     multiset = parse_degree_spec(args.degrees)
     source = _make_source(args.seed)
-    codes = [sample_tree(multiset, source) for _ in range(args.count)]
+    codes = sample_trees(multiset, source, args.count)
     _emit_trees(codes, args.format)
     return EXIT_OK
 

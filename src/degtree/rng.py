@@ -52,6 +52,11 @@ class RandomSource:
         self.seed = seed
         self._count = 0
 
+    @property
+    def words_consumed(self) -> int:
+        """Number of words drawn so far, less any rewound."""
+        return self._count
+
     def next_word(self) -> int:
         """Next raw 64-bit word of the stream."""
         self._count += 1
@@ -89,5 +94,5 @@ class RandomSource:
     def rewind(self, n: int) -> None:
         """Step the stream back ``n`` words, un-consuming a batch."""
         if n < 0 or n > self._count:
-            raise ValueError(f"cannot rewind {n} words of a {self._count}-word stream")
+            raise ValueError(f"cannot rewind {n} words of a {self.words_consumed}-word stream")
         self._count -= n

@@ -8,10 +8,19 @@ hit by equally many shuffles, so the output is uniform over all trees
 satisfying the multiset.  Each stage is linear in the node count.
 
 Each stage has one kernel.  The shuffle's single swap loop takes its
-draws from ``next_below``, or from one numpy batch over the same words
-for a :class:`RandomSource` of ``_VECTOR_THRESHOLD`` or more nodes.  The
-rotation point is the first peak of the prefix charge, scanned in Python
-below that size and found by ``cumsum``/``argmax`` above it.
+draws from ``next_below``, or from one numpy batch over the same words.
+Counter-mode splitmix can jump ahead, so the words of tree ``r`` in a
+run of trees are known without drawing trees ``0..r-1``: a batch holds
+one row of ``n - 1`` words per tree, and is used when the source is a
+:class:`RandomSource` and the batch holds at least ``_BATCH_WORDS``
+words across its rows, the measured point where numpy starts beating
+the scalar chain.  Rows are drawn in batches of at most ``_CHUNK_WORDS``
+words (one row when a row is longer), which bounds the draw matrix.  A
+batch with any word in a rejection zone is rewound and its rows drawn
+through ``next_below``, so every path consumes the identical stream.
+The rotation point is the first peak of the prefix charge, scanned in
+Python below ``_VECTOR_THRESHOLD`` nodes and found by ``cumsum``/``argmax``
+above it.
 
 Indexing: the rotation point ``k`` returned by ``find_rotation_point`` is
 both the 1-based position of the last symbol of the complete-expression
@@ -31,6 +40,10 @@ from .rng import RandomSource
 
 # Below this size plain Python loops beat numpy's array-creation overhead.
 _VECTOR_THRESHOLD = 1024
+# From about this many words one numpy batch beats the next_below chain.
+_BATCH_WORDS = 32
+# Most words in one draw batch (8 MiB of uint64) unless a single row is longer.
+_CHUNK_WORDS = 1 << 20
 
 
 def fisher_yates_shuffle(degrees: Sequence[int], source) -> list[int]:
@@ -39,33 +52,51 @@ def fisher_yates_shuffle(degrees: Sequence[int], source) -> list[int]:
     ``source`` needs only a ``next_below(bound)`` method; indices are
     drawn back to front, one draw per position, so a stub source scripted
     with ``len(degrees) - 1`` values walks every permutation path exactly
-    once.  A :class:`RandomSource` additionally gets its draws computed in
-    one numpy batch that consumes the identical word stream.
+    once.  A :class:`RandomSource` gets its draws computed in one numpy
+    batch over the identical word stream once there are at least
+    ``_BATCH_WORDS`` of them.
     """
+    return _shuffles(degrees, source, 1)[0]
+
+
+def _shuffles(degrees: Sequence[int], source, rows: int) -> list[list[int]]:
+    # ``rows`` shuffled copies, drawn one after another on source.  The
+    # rows share one draw batch, so callers keep rows * (n - 1) within
+    # _CHUNK_WORDS; each row is converted from numpy only when it is used.
+    n = len(degrees)
+    batch = _batched_draws(n, source, rows)
+    if batch is None:
+        scalar = ((source.next_below(b) for b in range(n, 1, -1)) for _ in range(rows))
+        return [_swapped(degrees, draws) for draws in scalar]
+    return [_swapped(degrees, row.tolist()) for row in batch]
+
+
+def _swapped(degrees: Sequence[int], draws) -> list[int]:
+    # The one Fisher-Yates swap loop; draws come back to front.
     values = list(degrees)
-    n = len(values)
-    draws = None
-    if n >= _VECTOR_THRESHOLD and isinstance(source, RandomSource):
-        draws = _batched_draws(n, source)
-    if draws is None:
-        draws = [source.next_below(bound) for bound in range(n, 1, -1)]
-    for i, j in zip(range(n - 1, 0, -1), draws):
+    for i, j in zip(range(len(values) - 1, 0, -1), draws):
         values[i], values[j] = values[j], values[i]
     return values
 
 
-def _batched_draws(n: int, source: RandomSource) -> list[int] | None:
-    # One word per position, in next_below's order.  If any word lands in
-    # a rejection zone (probability < n**2 / 2**64) the batch is rewound
-    # and None returned, so the caller redraws on the same stream.
-    words = source.next_words(n - 1)
+def _batched_draws(n: int, source, rows: int) -> np.ndarray | None:
+    # Each row's n - 1 draws, in next_below's order, from one batch of
+    # words; None when the draws must come from next_below instead: the
+    # source is not a RandomSource, the batch is too small to pay, or a
+    # word landed in a rejection zone (probability < n**2 / 2**64 per row),
+    # in which case the batch is rewound so the caller redraws the same
+    # stream.
+    size = rows * (n - 1)
+    if size < _BATCH_WORDS or not isinstance(source, RandomSource):
+        return None
+    words = source.next_words(size).reshape(rows, n - 1)
     bounds = np.arange(n, 1, -1, dtype=np.uint64)
     remainders = (np.uint64(0) - bounds) % bounds  # 2**64 mod bound
     thresholds = np.uint64(0) - remainders  # wraps to 0 when bound divides 2**64
     if ((remainders != np.uint64(0)) & (words >= thresholds)).any():
-        source.rewind(n - 1)
+        source.rewind(size)
         return None
-    return (words % bounds).tolist()
+    return words % bounds
 
 
 def find_rotation_point(degrees: Sequence[int]) -> int:
@@ -123,8 +154,31 @@ def sample_tree(multiset: DegreeMultiset, source) -> list[int]:
         NotConstructibleError: if the multiset charge differs from 1, i.e.
             no tree uses all of its nodes.
     """
+    return sample_trees(multiset, source, 1)[0]
+
+
+def sample_trees(multiset: DegreeMultiset, source, count: int) -> list[list[int]]:
+    """Draw ``count`` independent uniform trees matching ``multiset``.
+
+    Returns exactly ``[sample_tree(multiset, source) for _ in
+    range(count)]`` and leaves ``source`` at the same word, but draws the
+    words of many trees in one batch.  ``count == 0`` returns ``[]``.
+    Both checks below fail before any word is drawn.
+
+    Raises:
+        ValueError: if ``count`` is negative.
+        NotConstructibleError: if the multiset charge differs from 1.
+    """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     total = multiset.charge
     if total != 1:
         raise NotConstructibleError(total)
-    shuffled = fisher_yates_shuffle(multiset.to_sequence(), source)
-    return rotate(shuffled, find_rotation_point(shuffled))
+    sequence = multiset.to_sequence()
+    rows_per_batch = max(1, _CHUNK_WORDS // max(1, len(sequence) - 1))
+    trees = []
+    for start in range(0, count, rows_per_batch):
+        for shuffled in _shuffles(sequence, source, min(rows_per_batch, count - start)):
+            k = find_rotation_point(shuffled)
+            trees.append(shuffled[k:] + shuffled[:k])
+    return trees

@@ -9,7 +9,11 @@ from .degrees import DegreeMultiset
 from .errors import NotConstructibleError
 from .oracle import enumerate_trees
 from .rng import RandomSource
-from .sampling import sample_tree
+from .sampling import sample_trees
+
+# Trees drawn per sample_trees call: the codes held at once stay bounded
+# however many samples are asked for.
+_BLOCK = 1 << 14
 
 
 @dataclass
@@ -67,11 +71,12 @@ def uniformity_report(
         raise NotConstructibleError(total_charge)
     outcomes = enumerate_trees(multiset)
     counts = {code: 0 for code in sorted(outcomes)}
-    for _ in range(samples):
-        code = tuple(sample_tree(multiset, source))
-        if code not in counts:
-            raise RuntimeError(f"sampled code {code} outside the enumerated space")
-        counts[code] += 1
+    for start in range(0, samples, _BLOCK):
+        for code in sample_trees(multiset, source, min(_BLOCK, samples - start)):
+            code = tuple(code)
+            if code not in counts:
+                raise RuntimeError(f"sampled code {code} outside the enumerated space")
+            counts[code] += 1
     expected = samples / len(counts)
     chi_square = sum((observed - expected) ** 2 for observed in counts.values())
     chi_square /= expected

@@ -106,3 +106,18 @@ def test_next_below_roughly_uniform():
     chi_square = sum((b - expected) ** 2 / expected for b in buckets)
     # 0.999 quantile of chi-square with 3 degrees of freedom
     assert chi_square < 16.27, buckets
+
+
+def test_words_consumed_counts_every_path():
+    source = RandomSource(8)
+    assert source.words_consumed == 0
+    source.next_word()
+    source.next_below(5)
+    source.next_words(10)
+    assert source.words_consumed == 12
+    source.rewind(10)
+    assert source.words_consumed == 2
+    with pytest.raises(ValueError, match="a 2-word stream"):
+        source.rewind(3)
+    with pytest.raises(AttributeError):
+        source.words_consumed = 0

@@ -17,7 +17,9 @@ from degtree import (
     is_well_formed,
     rotate,
     sample_tree,
+    sample_trees,
 )
+from degtree import sampling
 from degtree.rng import _GOLDEN, _MIX1, _MIX2
 from degtree.sampling import _rotation_point_vectorized
 
@@ -259,6 +261,89 @@ class TestSampleTree:
             counts[tuple(sample_tree(multiset, source))] += 1
         assert sum(counts.values()) == n
         assert min(counts.values()) > n / 2 - 200  # ~6 sigma
+
+
+def _binary_multiset(n):
+    """An n-node charge-1 multiset of leaves, binary nodes and one unary."""
+    binary, unary = divmod(n - 1, 2)
+    counts = {0: n - binary - unary, 1: unary, 2: binary}
+    return DegreeMultiset({d: m for d, m in counts.items() if m})
+
+
+class RecordingSource(RandomSource):
+    """A RandomSource that records its batch sizes and rewinds."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.batches = []
+        self.rewinds = 0
+
+    def next_words(self, n):
+        self.batches.append(n)
+        return super().next_words(n)
+
+    def rewind(self, n):
+        self.rewinds += 1
+        super().rewind(n)
+
+
+class TestSampleTrees:
+    @pytest.mark.parametrize("size", [*range(1, 61), 1023, 1024, 5000])
+    def test_equals_sequential_sample_tree(self, size):
+        multiset = _binary_multiset(size)
+        for count in (0, 1, 2, 143, 1000):
+            batched, sequential = RandomSource(size), RandomSource(size)
+            trees = sample_trees(multiset, batched, count)
+            assert trees == [sample_tree(multiset, sequential) for _ in range(count)]
+            assert batched.words_consumed == sequential.words_consumed
+
+    @pytest.mark.parametrize("size", [10, 40])
+    def test_chunk_boundaries_keep_the_stream(self, size, monkeypatch):
+        # 50-word chunks: 5 rows of 10 nodes (the last chunk of 3 rows is
+        # too small to batch), or one 40-node row per chunk
+        monkeypatch.setattr(sampling, "_CHUNK_WORDS", 50)
+        multiset = _binary_multiset(size)
+        batched, sequential = RecordingSource(3), RandomSource(3)
+        trees = sample_trees(multiset, batched, 143)
+        assert trees == [sample_tree(multiset, sequential) for _ in range(143)]
+        assert batched.words_consumed == sequential.words_consumed
+        assert batched.rewinds == 0
+        assert batched.batches and max(batched.batches) <= max(50, size - 1)
+
+    def test_rejection_inside_a_later_row_equals_scalar_path(self):
+        # 4 rows of 9 words; word 21 (row 2, bound 7) is 2**64 - 1, which
+        # next_below(7) rejects, so the whole batch is rewound and redrawn
+        multiset = _binary_multiset(10)
+        i = 21
+        seed = (_unmix(2**64 - 1) - (i + 1) * _GOLDEN) % 2**64
+        probe = RandomSource(seed)
+        probe.next_words(i)
+        assert probe.next_word() == 2**64 - 1
+        fast, slow = RecordingSource(seed), ScalarOnly(seed)
+        trees = sample_trees(multiset, fast, 4)
+        assert trees == [sample_tree(multiset, slow) for _ in range(4)]
+        assert fast.batches == [36] and fast.rewinds == 1
+        assert fast.words_consumed == slow._source.words_consumed == 4 * 9 + 1
+        assert fast.next_word() == slow._source.next_word()
+
+    def test_input_checks_draw_nothing(self):
+        source = RandomSource(5)
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_trees(_binary_multiset(50), source, -1)
+        assert sample_trees(_binary_multiset(50), source, 0) == []
+        with pytest.raises(NotConstructibleError) as info:
+            sample_trees(DegreeMultiset({0: 40, 2: 1}), source, 10)
+        assert info.value.charge == 39
+        assert source.words_consumed == 0
+
+    @pytest.mark.parametrize("size", [*range(0, 70), 1025])
+    def test_shuffle_batches_equal_scalar_path(self, size):
+        # the shuffle batches from sampling._BATCH_WORDS words up
+        fast, slow = RandomSource(size), ScalarOnly(size)
+        assert fisher_yates_shuffle(range(size), fast) == fisher_yates_shuffle(
+            range(size), slow
+        )
+        assert fast.words_consumed == slow._source.words_consumed
 
 
 def test_brute_force_agreement_spot_check(charge_one_family):
