@@ -1,7 +1,9 @@
 """Command-line front-end for sampling, counting, checking, and fuzzing.
 
 Exit codes: 0 success, 1 usage or input parsing errors, 2 infeasible
-degree constraints, 3 enumeration size bound exceeded.
+degree constraints, 3 enumeration size bound exceeded.  A reader that
+closes stdout early (``degtree ... | head -1``) ends the run with exit
+code 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -44,7 +47,8 @@ class AlphabetError(ValueError):
 def parse_degree_spec(text: str) -> DegreeMultiset:
     """Parse ``0,0,1,2`` (list form) or ``0:2,1:1,2:1`` (multiset form).
 
-    Multiset entries for a repeated degree accumulate.  Both forms of the
+    Multiset entries for a repeated degree accumulate; each entry's
+    multiplicity must be at least 1.  Both forms of the
     same multiset behave identically downstream because sampling sorts the
     expansion before shuffling.
     """
@@ -61,6 +65,11 @@ def parse_degree_spec(text: str) -> DegreeMultiset:
                 )
             degree = _parse_int(degree_text, text)
             multiplicity = _parse_int(mult_text, text)
+            if multiplicity < 1:
+                raise DegreeSpecError(
+                    f"multiplicity of degree {degree} must be positive, "
+                    f"got {multiplicity} in {text!r}"
+                )
             counts[degree] = counts.get(degree, 0) + multiplicity
     else:
         for piece in pieces:
@@ -262,10 +271,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
     except tuple(_EXIT_CODES) as exc:
         print(f"degtree: error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    except BrokenPipeError:
+        # the reader closed stdout; pointing it at devnull keeps the
+        # interpreter's final flush of the unwritten buffer silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

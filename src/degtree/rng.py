@@ -5,7 +5,10 @@ The generator is splitmix64 run in counter mode: word ``i`` of a stream is
 64-bit words, so ``next_below`` is exactly uniform for every bound.
 Counter mode makes batching trivial: a vectorised batch yields
 bit-identical words to repeated scalar calls, and a consumed batch can be
-undone by rewinding the counter.
+undone by rewinding the counter.  The words of shuffle ``r`` in a run of
+shuffles are known without drawing shuffles ``0..r-1``, so the draws of
+many shuffles come from one batch whose rows match the ``next_below``
+chain word for word.
 
 The generator is hand-rolled rather than borrowed from ``random.Random``
 so that seeded streams are stable across interpreter versions; the golden
@@ -24,6 +27,10 @@ _WORD_SPAN = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# From about this many words one numpy batch beats the next_below chain.
+_BATCH_WORDS = 32
+# Most words in one draw batch (8 MiB of uint64) unless a single row is longer.
+_CHUNK_WORDS = 1 << 20
 
 
 def _mix(z: int) -> int:
@@ -96,3 +103,31 @@ class RandomSource:
         if n < 0 or n > self._count:
             raise ValueError(f"cannot rewind {n} words of a {self.words_consumed}-word stream")
         self._count -= n
+
+
+def _shuffle_draws(source, n: int, rows: int):
+    # Yield the draws of ``rows`` successive n-item Fisher-Yates shuffles,
+    # one iterable per shuffle in next_below's order (bounds n down to 2),
+    # each to be used up before the next is taken.  A RandomSource draws a
+    # chunk of rows (at most _CHUNK_WORDS words, or one longer row) with one
+    # next_words batch once the chunk holds _BATCH_WORDS words, and each row
+    # becomes a list only when it is taken.  A batch with a word that
+    # next_below would reject (probability < n**2 / 2**64 per row) is
+    # rewound, and its rows come from next_below like any other source's,
+    # so every path consumes the identical stream.
+    per_chunk = max(1, _CHUNK_WORDS // max(1, n - 1))
+    for start in range(0, rows, per_chunk):
+        take = min(per_chunk, rows - start)
+        size = take * (n - 1)
+        if size >= _BATCH_WORDS and isinstance(source, RandomSource):
+            words = source.next_words(size).reshape(take, n - 1)
+            bounds = np.arange(n, 1, -1, dtype=np.uint64)
+            # next_below(b) takes words below 2**64 - 2**64 % b, i.e. up to ~(2**64 % b)
+            if not (words > ~((np.uint64(0) - bounds) % bounds)).any():
+                words %= bounds
+                del bounds  # not held while the rows are swapped
+                yield from map(np.ndarray.tolist, words)
+                continue
+            source.rewind(size)
+        for _ in range(take):
+            yield (source.next_below(b) for b in range(n, 1, -1))

@@ -71,7 +71,7 @@ class TestDegreeSpec:
 
     @pytest.mark.parametrize(
         "spec",
-        ["", ",", "0,,1", "abc", "1:x", "0:0", "-1,0", "0:4,1", "2:-1"],
+        ["", ",", "0,,1", "abc", "1:x", "0:0", "-1,0", "0:4,1", "2:-1", "0:2,0:-1", "0:0,0:1"],
     )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
@@ -392,3 +392,32 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "charge=1 constructible=true\n"
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        # about 800 kB of expressions, far more than a pipe holds, so
+        # writes go on after the reader has closed the pipe
+        (["fuzz-expr", "--degrees", "0:501,2:500", "--alphabet", ALPHABET,
+          "--seed", "1", "--count", "400"], 1),
+        # one line, which buffered stdout writes only when it is flushed
+        (["check", "--degrees", "0,0,2"], 0),
+    ],
+    ids=["long_output", "buffered_output"],
+)
+def test_closed_stdout_exits_without_traceback(argv, lines_read):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(
+        [sys.executable, "-m", "degtree", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    ) as process:
+        for _ in range(lines_read):
+            assert process.stdout.readline()
+        process.stdout.close()
+        stderr = process.stderr.read()
+    assert process.returncode == 1
+    assert stderr == ""

@@ -19,9 +19,9 @@ from degtree import (
     sample_tree,
     sample_trees,
 )
-from degtree import sampling
+from degtree import rng
 from degtree.rng import _GOLDEN, _MIX1, _MIX2
-from degtree.sampling import _rotation_point_vectorized
+from degtree.sampling import _swapped
 
 
 class ScriptedSource:
@@ -92,8 +92,8 @@ class TestShuffle:
 
     @pytest.mark.parametrize("size", [1023, 1024, 1025, 5000])
     def test_batched_path_equals_scalar_path(self, size):
-        # sizes straddle the vectorisation threshold; both paths must
-        # consume the identical word stream and return identical results
+        # every size batches; both paths must consume the identical word
+        # stream and return identical results
         values = list(range(size))
         fast = fisher_yates_shuffle(values, RandomSource(420))
         slow = fisher_yates_shuffle(values, ScalarOnly(420))
@@ -136,24 +136,27 @@ class TestFindRotationPoint:
         assert info.value.charge == 0
         with pytest.raises(ChargeNotOneError):
             find_rotation_point([])
-        with pytest.raises(ChargeNotOneError) as info:  # the vectorised path
+        with pytest.raises(ChargeNotOneError) as info:
             find_rotation_point([0] * 2000)
         assert info.value.charge == 2000
-        with pytest.raises(ChargeNotOneError) as info:  # int64 sums wrap to 1
+        with pytest.raises(ChargeNotOneError) as info:  # exact, not int64-wrapped
             find_rotation_point([2**63 - 1, 2**63 - 1, 1504] + [0] * 1500)
         assert info.value.charge == 1 - 2**64
 
     def test_matches_decomposition_exhaustively(self, charge_one_family):
+        # identity draws (j = i) leave seq in place, so the swap loop's
+        # point is the rotation point of seq itself
         for seq in charge_one_family:
             k = decompose(seq).complete_prefix_length
             assert 1 <= k <= len(seq)
-            assert find_rotation_point(seq) == _rotation_point_vectorized(seq) == k
+            assert _swapped(seq, range(len(seq) - 1, 0, -1)) == (list(seq), k)
+            assert find_rotation_point(seq) == k
 
     def test_well_formed_input_is_fixpoint(self, well_formed_family):
         for seq in well_formed_family:
             assert find_rotation_point(seq) == len(seq)
 
-    def test_large_input_uses_vector_path(self):
+    def test_long_leaf_run(self):
         # a long run of leaves then their operator: rotation point is the
         # position of the last complete leaf expression
         n = 5000
@@ -243,7 +246,7 @@ class TestSampleTree:
         assert first == second
 
     def test_large_sample_is_well_formed(self):
-        # crosses the batched-shuffle and vectorised-scan thresholds
+        # a batched shuffle of 120 008 nodes
         multiset = DegreeMultiset({0: 60001, 1: 7, 2: 60000})
         code = sample_tree(multiset, RandomSource(8))
         assert len(code) == 120008
@@ -301,7 +304,7 @@ class TestSampleTrees:
     def test_chunk_boundaries_keep_the_stream(self, size, monkeypatch):
         # 50-word chunks: 5 rows of 10 nodes (the last chunk of 3 rows is
         # too small to batch), or one 40-node row per chunk
-        monkeypatch.setattr(sampling, "_CHUNK_WORDS", 50)
+        monkeypatch.setattr(rng, "_CHUNK_WORDS", 50)
         multiset = _binary_multiset(size)
         batched, sequential = RecordingSource(3), RandomSource(3)
         trees = sample_trees(multiset, batched, 143)
@@ -326,6 +329,15 @@ class TestSampleTrees:
         assert fast.words_consumed == slow._source.words_consumed == 4 * 9 + 1
         assert fast.next_word() == slow._source.next_word()
 
+    @pytest.mark.parametrize("size", [1023, 1024, 1025, 5000, 100_000])
+    def test_equals_shuffle_then_rotate(self, size):
+        # the swap loop's rotation point is the one find_rotation_point
+        # gives on the same shuffle
+        multiset = _binary_multiset(size)
+        shuffled = fisher_yates_shuffle(multiset.to_sequence(), RandomSource(size))
+        expected = rotate(shuffled, find_rotation_point(shuffled))
+        assert sample_tree(multiset, RandomSource(size)) == expected
+
     def test_input_checks_draw_nothing(self):
         source = RandomSource(5)
         with pytest.raises(ValueError, match="non-negative"):
@@ -338,7 +350,7 @@ class TestSampleTrees:
 
     @pytest.mark.parametrize("size", [*range(0, 70), 1025])
     def test_shuffle_batches_equal_scalar_path(self, size):
-        # the shuffle batches from sampling._BATCH_WORDS words up
+        # the shuffle batches from rng._BATCH_WORDS words up
         fast, slow = RandomSource(size), ScalarOnly(size)
         assert fisher_yates_shuffle(range(size), fast) == fisher_yates_shuffle(
             range(size), slow
