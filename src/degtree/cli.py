@@ -1,7 +1,10 @@
 """Command-line front-end for sampling, counting, checking, and fuzzing.
 
 Exit codes: 0 success, 1 usage or input parsing errors, 2 infeasible
-degree constraints, 3 enumeration size bound exceeded.  A reader that
+degree constraints, 3 size bound exceeded: a multiset of more than
+10 000 000 nodes for ``sample``, ``stats`` and ``fuzz-expr`` (refused before
+anything is allocated or drawn), or more than the enumeration bound for
+``enumerate`` and ``stats``.  A reader that
 closes stdout early (``degtree ... | head -1``) ends the run with exit
 code 1 and no traceback.
 """
@@ -35,6 +38,14 @@ EXIT_TOO_LARGE = 3
 
 _FORMATS = ("prefix", "sexpr", "dot", "json")
 
+# Most nodes a multiset may have in sample, stats and fuzz-expr.  A 1e7-node
+# prefix sample takes about 5 s and 400 MB on a 2-core box; far larger specs
+# would only fail with a MemoryError, after a long allocation or none.
+_MAX_NODES = 10_000_000
+
+# Byte d of a code with every degree below 10 becomes the ASCII digit d.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
 
 class DegreeSpecError(ValueError):
     """Unparseable --degrees text."""
@@ -42,6 +53,10 @@ class DegreeSpecError(ValueError):
 
 class AlphabetError(ValueError):
     """Unusable --alphabet file."""
+
+
+class _TooManyNodesError(Exception):
+    """A multiset beyond the node bound of the sampling commands."""
 
 
 def parse_degree_spec(text: str) -> DegreeMultiset:
@@ -133,20 +148,49 @@ def _make_source(seed: int | None) -> RandomSource:
     return source
 
 
-def _format_tree(code: Sequence[int], fmt: str) -> str:
-    if fmt == "prefix":
-        return " ".join(map(str, code))
-    # built per call, so wrappers later set on these module names apply
-    return {"sexpr": to_sexpr, "json": to_json, "dot": to_dot}[fmt](code)
+def _sampled_multiset(text: str) -> DegreeMultiset:
+    # parse_degree_spec plus the node bound of the commands that sample
+    multiset = parse_degree_spec(text)
+    if multiset.total_nodes > _MAX_NODES:
+        raise _TooManyNodesError(
+            f"{multiset.total_nodes} nodes exceeds the sampling bound of {_MAX_NODES}"
+        )
+    return multiset
+
+
+def _prefix_line(code: Sequence[int]) -> str:
+    return " ".join(map(str, code))
 
 
 def _emit_trees(codes, fmt: str) -> None:
-    rendered = [_format_tree(code, fmt) for code in codes]
-    if fmt == "dot":
-        # dot records are multi-line; separate them with a blank line
-        sys.stdout.write("\n".join(rendered))
-    else:
-        sys.stdout.write("\n".join(rendered) + "\n")
+    # Each tree is written as soon as it is rendered, so no more than one
+    # rendered tree is held at once.  The table is built per call, so
+    # wrappers later set on these module names apply.
+    render = {"prefix": _prefix_line, "sexpr": to_sexpr, "json": to_json, "dot": to_dot}[fmt]
+    write = sys.stdout.write
+    for i, code in enumerate(codes):
+        if fmt == "dot":
+            # dot records are multi-line and end in a newline; a blank line
+            # separates them
+            if i:
+                write("\n")
+            write(render(code))
+        else:
+            write(render(code))
+            write("\n")
+
+
+def _emit_digit_lines(codes, n: int) -> None:
+    # The prefix lines of n-node codes whose degrees are all below 10,
+    # rendered in one pass with no str per symbol: each line is n digits
+    # with a space after each but the last, so the digits fill the even
+    # bytes and a newline ends every 2n bytes.
+    digits = bytearray().join(map(bytearray, codes)).translate(_DIGITS)
+    out = bytearray(b" ") * (2 * len(digits))
+    out[::2] = digits
+    out[2 * n - 1 :: 2 * n] = b"\n" * (len(digits) // n)
+    # str, not bytes: sys.stdout may be any text stream
+    sys.stdout.write(out.decode("ascii"))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -158,10 +202,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    multiset = parse_degree_spec(args.degrees)
+    multiset = _sampled_multiset(args.degrees)
     source = _make_source(args.seed)
     codes = sample_trees(multiset, source, args.count)
-    _emit_trees(codes, args.format)
+    if args.format == "prefix" and max(multiset.counts) < 10:
+        _emit_digit_lines(codes, multiset.total_nodes)
+    else:
+        _emit_trees(codes, args.format)
     return EXIT_OK
 
 
@@ -183,7 +230,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    multiset = parse_degree_spec(args.degrees)
+    multiset = _sampled_multiset(args.degrees)
     source = _make_source(args.seed)
     report = uniformity_report(multiset, args.samples, source)
     print(report.to_json())
@@ -191,7 +238,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz_expr(args: argparse.Namespace) -> int:
-    multiset = parse_degree_spec(args.degrees)
+    multiset = _sampled_multiset(args.degrees)
     alphabet = load_alphabet(args.alphabet)
     # every tree over the multiset uses every degree in it, so coverage
     # can be rejected before any output
@@ -210,6 +257,7 @@ _EXIT_CODES = {
     NotConstructibleError: EXIT_INFEASIBLE,
     ChargeNotOneError: EXIT_INFEASIBLE,
     EnumerationTooLargeError: EXIT_TOO_LARGE,
+    _TooManyNodesError: EXIT_TOO_LARGE,
 }
 
 

@@ -110,8 +110,10 @@ def _shuffle_draws(source, n: int, rows: int):
     # one iterable per shuffle in next_below's order (bounds n down to 2),
     # each to be used up before the next is taken.  A RandomSource draws a
     # chunk of rows (at most _CHUNK_WORDS words, or one longer row) with one
-    # next_words batch once the chunk holds _BATCH_WORDS words, and each row
-    # becomes a list only when it is taken.  A batch with a word that
+    # next_words batch once the chunk holds _BATCH_WORDS words, and yields
+    # each row as a memoryview: its items become Python ints one at a time
+    # as the swap loop takes them, where a list would hold n of them at
+    # once (about 36 MB at 1e6 nodes).  A batch with a word that
     # next_below would reject (probability < n**2 / 2**64 per row) is
     # rewound, and its rows come from next_below like any other source's,
     # so every path consumes the identical stream.
@@ -126,7 +128,7 @@ def _shuffle_draws(source, n: int, rows: int):
             if not (words > ~((np.uint64(0) - bounds) % bounds)).any():
                 words %= bounds
                 del bounds  # not held while the rows are swapped
-                yield from map(np.ndarray.tolist, words)
+                yield from map(memoryview, words)
                 continue
             source.rewind(size)
         for _ in range(take):

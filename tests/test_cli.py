@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
 import pytest
 
+from degtree import cli
 from degtree.cli import main, parse_degree_spec
-from degtree import DegreeMultiset
+from degtree import DegreeMultiset, RandomSource, sample_trees
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ALPHABET = str(Path(__file__).parent / "data" / "alphabet.json")
@@ -135,6 +137,29 @@ class TestSample:
         assert out == ""
         assert "charge 2" in err
 
+    @pytest.mark.parametrize("rounds", [1, 3])
+    @pytest.mark.parametrize("count", [1, 143])
+    @pytest.mark.parametrize("top", [9, 10, 256])
+    def test_prefix_lines_equal_the_library_trees(self, capsys, top, count, rounds):
+        # top degree 9 takes the one-pass digit writer and 10 up the
+        # per-tree join; 256 does not fit the digit writer's bytes at all.
+        # With count 1, the 12- to 30-node trees of top 9 and the 13-node
+        # tree of top 10 draw fewer than 32 words, so they come from the
+        # scalar next_below path; the rest are batched.
+        counts = {0: 1 + (top - 1) * rounds, 1: 2, top: rounds}
+        spec = ",".join(f"{d}:{m}" for d, m in counts.items())
+        code, out, err = run(
+            ["sample", "--degrees", spec, "--seed", "11", "--count", str(count)], capsys
+        )
+        trees = sample_trees(DegreeMultiset(counts), RandomSource(11), count)
+        assert (code, err) == (0, "")
+        # out == "\n".join(...) + "\n", line by line: a failing diff of the
+        # whole text would take minutes to print
+        lines = out.split("\n")
+        assert len(lines) == count + 1 and lines[-1] == ""
+        for line, tree in zip(lines, trees):
+            assert line == " ".join(map(str, tree))
+
     def test_golden_prefix(self, capsys):
         code, out, _ = run(
             ["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "7", "--count", "5"],
@@ -189,6 +214,41 @@ class TestSample:
         ]
         sexpr_codes = [parse_sexpr(line) for line in sexpr_out.splitlines()]
         assert prefix_codes == sexpr_codes
+
+
+class TestNodeBound:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--seed", "1"],
+            ["stats", "--samples", "10", "--seed", "1"],
+            ["fuzz-expr", "--alphabet", ALPHABET, "--seed", "1"],
+        ],
+        ids=["sample", "stats", "fuzz-expr"],
+    )
+    def test_trillion_nodes_refused_at_once(self, capsys, argv):
+        spec = f"0:{10**12 + 1},2:{10**12}"
+        start = time.perf_counter()
+        code, out, err = run([argv[0], "--degrees", spec, *argv[1:]], capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == (
+            f"degtree: error: {2 * 10**12 + 1} nodes exceeds the sampling bound "
+            f"of {cli._MAX_NODES}\n"
+        )
+
+    def test_bound_admits_its_own_size(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_NODES", 7)
+        assert run(["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "1"], capsys)[0] == 0
+        code, out, err = run(["sample", "--degrees", "0:4,1:2,2:1,3:1", "--seed", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert "8 nodes exceeds the sampling bound of 7" in err
+
+    def test_check_takes_any_size(self, capsys):
+        spec = f"0:{10**12 + 1},2:{10**12}"
+        assert run(["check", "--degrees", spec], capsys) == (
+            0, "charge=1 constructible=true\n", ""
+        )
 
 
 class TestCount:
