@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 usage or input parsing errors, 2 infeasible
 degree constraints, 3 size bound exceeded: a multiset of more than
-10 000 000 nodes for ``sample``, ``stats`` and ``fuzz-expr`` (refused before
-anything is allocated or drawn), or more than the enumeration bound for
-``enumerate`` and ``stats``.  A reader that
+10 000 000 nodes for ``sample``, ``count``, ``stats`` and ``fuzz-expr``
+(refused before anything is allocated or drawn), or more than the
+enumeration bound for ``enumerate`` and ``stats``.  A reader that
 closes stdout early (``degtree ... | head -1``) ends the run with exit
 code 1 and no traceback.
 """
@@ -26,7 +26,7 @@ from .errors import (
     MissingArityError,
     NotConstructibleError,
 )
-from .oracle import count_trees, enumerate_trees
+from .oracle import _balanced_product, _count_exponents, enumerate_trees
 from .rng import RandomSource
 from .sampling import sample_tree, sample_trees
 from .stats import uniformity_report
@@ -38,9 +38,10 @@ EXIT_TOO_LARGE = 3
 
 _FORMATS = ("prefix", "sexpr", "dot", "json")
 
-# Most nodes a multiset may have in sample, stats and fuzz-expr.  A 1e7-node
-# prefix sample takes about 5 s and 400 MB on a 2-core box; far larger specs
-# would only fail with a MemoryError, after a long allocation or none.
+# Most nodes a multiset may have in sample, count, stats and fuzz-expr.  A
+# 1e7-node prefix sample takes about 5 s and 400 MB on a 2-core box; far
+# larger specs would only fail with a MemoryError, after a long allocation
+# or none.
 _MAX_NODES = 10_000_000
 
 # Byte d of a code with every degree below 10 becomes the ASCII digit d.
@@ -56,7 +57,7 @@ class AlphabetError(ValueError):
 
 
 class _TooManyNodesError(Exception):
-    """A multiset beyond the node bound of the sampling commands."""
+    """A multiset beyond the node bound."""
 
 
 def parse_degree_spec(text: str) -> DegreeMultiset:
@@ -148,12 +149,13 @@ def _make_source(seed: int | None) -> RandomSource:
     return source
 
 
-def _sampled_multiset(text: str) -> DegreeMultiset:
-    # parse_degree_spec plus the node bound of the commands that sample
+def _bounded_multiset(text: str) -> DegreeMultiset:
+    # parse_degree_spec plus the node bound of every command whose work
+    # grows with the node count
     multiset = parse_degree_spec(text)
     if multiset.total_nodes > _MAX_NODES:
         raise _TooManyNodesError(
-            f"{multiset.total_nodes} nodes exceeds the sampling bound of {_MAX_NODES}"
+            f"{multiset.total_nodes} nodes exceeds the node bound of {_MAX_NODES}"
         )
     return multiset
 
@@ -202,7 +204,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    multiset = _sampled_multiset(args.degrees)
+    multiset = _bounded_multiset(args.degrees)
     source = _make_source(args.seed)
     codes = sample_trees(multiset, source, args.count)
     if args.format == "prefix" and max(multiset.counts) < 10:
@@ -213,9 +215,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    multiset = parse_degree_spec(args.degrees)
-    # str(int) stops at 4300 digits unless a process-wide limit is raised
-    print(decimal.Decimal(count_trees(multiset)))
+    multiset = _bounded_multiset(args.degrees)
+    # The count is formed in decimal, where libmpdec multiplies long
+    # numbers by a number-theoretic transform and str() is linear; no
+    # binary-to-decimal conversion (quadratic in CPython) ever runs.
+    primes, exponents = _count_exponents(multiset)
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    print(_balanced_product(map(exact.power, primes, exponents), exact.multiply, 1))
     return EXIT_OK
 
 
@@ -230,7 +236,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    multiset = _sampled_multiset(args.degrees)
+    multiset = _bounded_multiset(args.degrees)
     source = _make_source(args.seed)
     report = uniformity_report(multiset, args.samples, source)
     print(report.to_json())
@@ -238,7 +244,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz_expr(args: argparse.Namespace) -> int:
-    multiset = _sampled_multiset(args.degrees)
+    multiset = _bounded_multiset(args.degrees)
     alphabet = load_alphabet(args.alphabet)
     # every tree over the multiset uses every degree in it, so coverage
     # can be rejected before any output

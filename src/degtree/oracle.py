@@ -2,16 +2,19 @@
 
 Ground truth for the sampler: enumeration walks every distinct permutation
 of the degree list and keeps the well-formed ones, while ``count_trees``
-evaluates the closed form ``(n! / prod(m_d!)) / n`` in exact integer
-arithmetic, the multinomial as a product of binomial coefficients.  The
-test suite holds the two routes equal over a full sweep of small
-multisets before either is trusted.
+evaluates the closed form ``(n-1)! / prod(m_d!)`` exactly, from the
+exponent of each prime in it (Legendre's formula) and a balanced product
+of the prime powers.  The test suite holds the two routes equal over a
+full sweep of small multisets before either is trusted.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import factorial, isqrt
+from operator import mul
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .degrees import DegreeMultiset, is_well_formed
 from .errors import EnumerationTooLargeError, NotConstructibleError
@@ -66,29 +69,71 @@ def enumerate_trees(
 def count_trees(multiset: DegreeMultiset) -> int:
     """Exact number of distinct trees matching ``multiset``.
 
-    Evaluates ``(n! / prod(m_d!)) / n``: the numerator counts the
-    pairwise-different orderings of the degree list, and exactly one
-    ordering in n is well-formed.  The numerator is built as the product
-    of ``comb(m_1 + ... + m_i, m_i)``, which places each degree's copies
-    among the slots filled so far; the division by n is checked to be
-    exact.  Arbitrary-precision integers keep large multisets exact too.
+    Evaluates ``(n! / prod(m_d!)) / n = (n-1)! / prod(m_d!)``: the
+    multinomial counts the pairwise-different orderings of the degree
+    list, and exactly one ordering in n is well-formed.  The count is
+    the product of ``p**e`` over the primes p below n, with e from
+    Legendre's formula, multiplied in a balanced tree so that large
+    counts cost quasi-linear time in their length.
 
     Raises:
         NotConstructibleError: if the multiset charge differs from 1.
     """
+    primes, exponents = _count_exponents(multiset)
+    return _balanced_product(map(pow, primes, exponents), mul, 1)
+
+
+def _count_exponents(multiset: DegreeMultiset) -> tuple[list[int], list[int]]:
+    # The primes p < n with a positive exponent e_p in (n-1)!/prod(m_d!),
+    # and those exponents: e_p((n-1)!) - sum_d e_p(m_d!).  The sieve takes
+    # n bytes.
     total_charge = multiset.charge
     if total_charge != 1:
         raise NotConstructibleError(total_charge)
-    n = multiset.total_nodes
-    orderings = 1
-    placed = 0
+    top = multiset.total_nodes - 1
+    sieve = np.ones(top + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, isqrt(top) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    primes = np.flatnonzero(sieve)
+    exponents = _factorial_exponents(top, primes)
     for multiplicity in multiset.counts.values():
-        placed += multiplicity
-        orderings *= comb(placed, multiplicity)
-    count, remainder = divmod(orderings, n)
-    if remainder:
-        raise RuntimeError(f"ordering count not divisible by {n}; invariant broken")
-    return count
+        below = np.searchsorted(primes, multiplicity, side="right")
+        exponents[:below] -= _factorial_exponents(multiplicity, primes[:below])
+    present = exponents > 0
+    return primes[present].tolist(), exponents[present].tolist()
+
+
+def _factorial_exponents(m: int, primes: np.ndarray) -> np.ndarray:
+    # Legendre's formula: the exponent of p in m! is the sum over k >= 1 of
+    # m // p**k, found as repeated floor division of m by p.  The quotients
+    # fall as p grows, so the primes still contributing are a prefix.
+    exponents = np.zeros(len(primes), dtype=np.int64)
+    quotients = np.full(len(primes), m, dtype=np.int64)
+    while len(primes):
+        quotients //= primes
+        live = np.count_nonzero(quotients)
+        primes, quotients = primes[:live], quotients[:live]
+        exponents[:live] += quotients
+    return exponents
+
+
+def _balanced_product(factors: Iterable, multiply, one):
+    # A binary counter over the factors: after factor i the stack holds one
+    # partial product per set bit of i, of 2**bit factors each.  Every
+    # multiplication joins two products of as many factors, and only
+    # O(log n) partial products are alive at once.
+    stack = []
+    for i, factor in enumerate(factors, 1):
+        while not i & 1:
+            factor = multiply(stack.pop(), factor)
+            i >>= 1
+        stack.append(factor)
+    product = one
+    for partial in reversed(stack):
+        product = multiply(partial, product)
+    return product
 
 
 def catalan(n: int) -> int:

@@ -91,12 +91,17 @@ class RandomSource:
         Produces exactly the words ``n`` successive ``next_word`` calls
         would, then advances the stream past them.
         """
-        counts = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        # in place, so only z and one shifted copy are ever held
+        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        z = np.uint64(self.seed) + counts * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self.seed)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
 
     def rewind(self, n: int) -> None:
         """Step the stream back ``n`` words, un-consuming a batch."""
@@ -124,8 +129,13 @@ def _shuffle_draws(source, n: int, rows: int):
         if size >= _BATCH_WORDS and isinstance(source, RandomSource):
             words = source.next_words(size).reshape(take, n - 1)
             bounds = np.arange(n, 1, -1, dtype=np.uint64)
-            # next_below(b) takes words below 2**64 - 2**64 % b, i.e. up to ~(2**64 % b)
-            if not (words > ~((np.uint64(0) - bounds) % bounds)).any():
+            # next_below(b) takes words below 2**64 - 2**64 % b, i.e. up to
+            # ~(2**64 % b).  For b <= n that limit is above 2**64 - n, so one
+            # max() clears nearly every batch without the exact test and its
+            # row-sized temporaries.
+            if words.max() <= np.uint64(_WORD_SPAN - n) or not (
+                words > ~((np.uint64(0) - bounds) % bounds)
+            ).any():
                 words %= bounds
                 del bounds  # not held while the rows are swapped
                 yield from map(memoryview, words)

@@ -6,8 +6,10 @@ used to cross-check (the prefix-charge test and the iterative decoder).
 """
 
 import itertools
+from math import comb
 
 import pytest
+from hypothesis import strategies as st
 
 from degtree import DegreeMultiset
 
@@ -61,6 +63,44 @@ def constructible_multisets(max_nodes, max_degree):
         ):
             if n - sum(combo) == 1:
                 yield DegreeMultiset.from_degrees(combo)
+
+
+def comb_chain_count(multiset):
+    """``(n! / prod(m_d!)) / n`` as a product of binomial coefficients.
+
+    The multinomial places each degree's copies among the slots filled so
+    far; kept as a reference independent of the library's prime-exponent
+    route.
+    """
+    orderings, placed = 1, 0
+    for multiplicity in multiset.counts.values():
+        placed += multiplicity
+        orderings *= comb(placed, multiplicity)
+    count, remainder = divmod(orderings, multiset.total_nodes)
+    assert remainder == 0, multiset
+    return count
+
+
+@st.composite
+def constructible_multiset_strategy(draw, max_nodes, max_degree):
+    """A charge-1 multiset of at most ``max_nodes`` nodes.
+
+    The drawn internal degrees take multiplicities in increasing degree
+    order until the node budget is spent; the leaves close the charge.
+    """
+    internal = draw(
+        st.dictionaries(
+            st.integers(1, max_degree), st.integers(1, max_nodes), max_size=6
+        )
+    )
+    counts, budget = {}, max_nodes - 1
+    for degree, multiplicity in sorted(internal.items()):
+        multiplicity = min(multiplicity, budget // degree)
+        if multiplicity:
+            counts[degree] = multiplicity
+            budget -= degree * multiplicity
+    counts[0] = 1 + sum((degree - 1) * m for degree, m in counts.items())
+    return DegreeMultiset(counts)
 
 
 @pytest.fixture(scope="session")

@@ -261,3 +261,27 @@ def test_criterion_10_linear_time_rendering():
         "PASS criterion 10: render time at 4e5 nodes over 1e5 nodes, "
         + ", ".join(f"{name} {ratio:.2f}x" for name, ratio in ratios.items())
     )
+
+
+def test_criterion_11_linear_time_counting(capsys):
+    # {0: k + 1, 1: 1, 2: k} has 2k + 2 nodes: 2e5 and 8e5
+    specs = {size: f"0:{size // 2},1:1,2:{size // 2 - 1}" for size in (200000, 800000)}
+    times = {size: [] for size in specs}
+    digits = {}
+    for _ in range(5):
+        # sizes alternate so that drifts in machine speed hit both alike
+        for size, spec in specs.items():
+            begin = time.perf_counter()
+            code, out, err = run_cli(["count", "--degrees", spec], capsys)
+            times[size].append(time.perf_counter() - begin)
+            assert (code, err) == (0, "")
+            assert digits.setdefault(size, out) == out
+    assert all(out.rstrip("\n").isdigit() for out in digits.values())
+    median_small = statistics.median(times[200000])
+    median_large = statistics.median(times[800000])
+    assert median_large <= 6 * median_small, (median_small, median_large)
+    print(
+        f"PASS criterion 11: count median {median_small * 1000:.0f}ms at 2e5 "
+        f"nodes, {median_large * 1000:.0f}ms at 8e5 "
+        f"(ratio {median_large / median_small:.2f}x)"
+    )

@@ -223,8 +223,9 @@ class TestNodeBound:
             ["sample", "--seed", "1"],
             ["stats", "--samples", "10", "--seed", "1"],
             ["fuzz-expr", "--alphabet", ALPHABET, "--seed", "1"],
+            ["count"],
         ],
-        ids=["sample", "stats", "fuzz-expr"],
+        ids=["sample", "stats", "fuzz-expr", "count"],
     )
     def test_trillion_nodes_refused_at_once(self, capsys, argv):
         spec = f"0:{10**12 + 1},2:{10**12}"
@@ -233,7 +234,7 @@ class TestNodeBound:
         assert time.perf_counter() - start < 1
         assert (code, out) == (3, "")
         assert err == (
-            f"degtree: error: {2 * 10**12 + 1} nodes exceeds the sampling bound "
+            f"degtree: error: {2 * 10**12 + 1} nodes exceeds the node bound "
             f"of {cli._MAX_NODES}\n"
         )
 
@@ -242,7 +243,7 @@ class TestNodeBound:
         assert run(["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "1"], capsys)[0] == 0
         code, out, err = run(["sample", "--degrees", "0:4,1:2,2:1,3:1", "--seed", "1"], capsys)
         assert (code, out) == (3, "")
-        assert "8 nodes exceeds the sampling bound of 7" in err
+        assert "8 nodes exceeds the node bound of 7" in err
 
     def test_check_takes_any_size(self, capsys):
         spec = f"0:{10**12 + 1},2:{10**12}"

@@ -1,9 +1,18 @@
+import contextlib
+import decimal
+import io
 import itertools
 from math import factorial
 
 import pytest
+from hypothesis import given
 
-from conftest import brute_well_formed, constructible_multisets
+from conftest import (
+    brute_well_formed,
+    comb_chain_count,
+    constructible_multiset_strategy,
+    constructible_multisets,
+)
 from degtree import (
     DegreeMultiset,
     EnumerationTooLargeError,
@@ -15,6 +24,7 @@ from degtree import (
     enumerate_trees,
     is_constructible,
 )
+from degtree.cli import main
 
 
 class TestDistinctPermutations:
@@ -90,6 +100,37 @@ class TestCountTrees:
         # catalan(30) needs more than 64 bits
         assert count_trees(DegreeMultiset({0: 31, 2: 30})) == catalan(30)
         assert catalan(30) == 3814986502092304
+
+
+def assert_count_equals_comb_chain(multiset):
+    # both count_trees and the digits the count command prints; the
+    # expected text goes through Decimal, as str(int) stops at 4300 digits
+    expected = comb_chain_count(multiset)
+    assert count_trees(multiset) == expected, multiset
+    spec = ",".join(f"{degree}:{m}" for degree, m in multiset.counts.items())
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["count", "--degrees", spec]) == 0
+    assert out.getvalue() == f"{decimal.Decimal(expected)}\n", multiset
+
+
+class TestCountAgainstCombChain:
+    def test_every_multiset_of_the_criterion_4_family(self):
+        for multiset in constructible_multisets(9, 4):
+            assert_count_equals_comb_chain(multiset)
+
+    def test_one_and_two_nodes(self):
+        assert_count_equals_comb_chain(DegreeMultiset({0: 1}))
+        assert_count_equals_comb_chain(DegreeMultiset({0: 1, 1: 1}))
+
+    def test_catalan_numbers(self):
+        for k in range(301):
+            binary = DegreeMultiset({0: k + 1, 2: k} if k else {0: 1})
+            assert_count_equals_comb_chain(binary)
+            assert count_trees(binary) == catalan(k)
+
+    @given(constructible_multiset_strategy(max_nodes=3000, max_degree=40))
+    def test_drawn_multisets(self, multiset):
+        assert_count_equals_comb_chain(multiset)
 
 
 class TestCatalan:
