@@ -43,7 +43,6 @@ from .oracle import (
     binary_leaf_count,
     catalan,
     count_trees,
-    distinct_permutations,
     enumerate_trees,
 )
 from .rng import RandomSource
@@ -80,7 +79,6 @@ __all__ = [
     "count_trees",
     "decode_prefix",
     "decompose",
-    "distinct_permutations",
     "encode_prefix",
     "enumerate_trees",
     "find_rotation_point",

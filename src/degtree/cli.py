@@ -12,7 +12,6 @@ code 1 and no traceback.
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import os
 import sys
@@ -26,7 +25,8 @@ from .errors import (
     MissingArityError,
     NotConstructibleError,
 )
-from .oracle import _balanced_product, _count_exponents, enumerate_trees
+from . import oracle
+from .oracle import enumerate_trees
 from .rng import RandomSource
 from .sampling import sample_tree, sample_trees
 from .stats import uniformity_report
@@ -216,12 +216,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     multiset = _bounded_multiset(args.degrees)
-    # The count is formed in decimal, where libmpdec multiplies long
-    # numbers by a number-theoretic transform and str() is linear; no
-    # binary-to-decimal conversion (quadratic in CPython) ever runs.
-    primes, exponents = _count_exponents(multiset)
-    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-    print(_balanced_product(map(exact.power, primes, exponents), exact.multiply, 1))
+    print(oracle._count_decimal(multiset))
     return EXIT_OK
 
 

@@ -1,50 +1,30 @@
 """Exhaustive enumeration and exact counting of trees for a degree multiset.
 
-Ground truth for the sampler: enumeration walks every distinct permutation
-of the degree list and keeps the well-formed ones, while ``count_trees``
-evaluates the closed form ``(n-1)! / prod(m_d!)`` exactly, from the
-exponent of each prime in it (Legendre's formula) and a balanced product
-of the prime powers.  The test suite holds the two routes equal over a
-full sweep of small multisets before either is trusted.
+Ground truth for the sampler: enumeration extends only the prefixes that
+a tree can still complete, so it builds exactly the well-formed codes,
+while ``count_trees`` evaluates the closed form ``(n-1)! / prod(m_d!)``
+exactly, from the exponent of each prime in it (Legendre's formula) and
+a balanced product of the prime powers.  The test suite holds the two
+routes equal over a full sweep of small multisets before either is trusted.
 """
 
 from __future__ import annotations
 
+import decimal
 from math import factorial, isqrt
 from operator import mul
 from typing import Iterable, Iterator
 
 import numpy as np
 
+# unused here; bench test_names_rebound_by_import_are_traced wraps oracle.is_well_formed
 from .degrees import DegreeMultiset, is_well_formed
 from .errors import EnumerationTooLargeError, NotConstructibleError
 
-#: Node-count ceiling for exhaustive enumeration; 10 keeps the walk under
-#: 10! distinct permutations.
+#: Node-count ceiling for exhaustive enumeration.  The walk visits O(n)
+#: prefixes per tree, so the bound caps the size of the result: no 10-node
+#: multiset has more than 756 trees (``{0: 5, 1: 2, 2: 2, 3: 1}``).
 DEFAULT_ENUMERATION_BOUND = 10
-
-
-def distinct_permutations(values: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """Yield each distinct permutation of ``values`` once, in lexicographic order.
-
-    Classic in-place next-permutation stepping; repeated input values
-    produce no repeated outputs, so a multiset of n values yields
-    ``n! / prod(multiplicity!)`` tuples rather than ``n!``.
-    """
-    seq = sorted(values)
-    n = len(seq)
-    while True:
-        yield tuple(seq)
-        pivot = n - 2
-        while pivot >= 0 and seq[pivot] >= seq[pivot + 1]:
-            pivot -= 1
-        if pivot < 0:
-            return
-        partner = n - 1
-        while seq[partner] <= seq[pivot]:
-            partner -= 1
-        seq[pivot], seq[partner] = seq[partner], seq[pivot]
-        seq[pivot + 1 :] = reversed(seq[pivot + 1 :])
 
 
 def enumerate_trees(
@@ -52,18 +32,43 @@ def enumerate_trees(
 ) -> set[tuple[int, ...]]:
     """The set of ALL distinct well-formed codes over ``multiset``.
 
-    Computed by filtering every distinct permutation of the degree list,
-    so the node count is guarded by ``bound``.  A non-constructible
-    multiset yields the empty set.
+    The walk visits O(n) prefixes per tree, but the result holds every
+    tree, so the node count is guarded by ``bound``.  A
+    non-constructible multiset yields the empty set.
 
     Raises:
         EnumerationTooLargeError: if ``multiset.total_nodes > bound``.
     """
     if multiset.total_nodes > bound:
         raise EnumerationTooLargeError(multiset.total_nodes, bound)
-    return {
-        p for p in distinct_permutations(multiset.to_sequence()) if is_well_formed(p)
-    }
+    if multiset.charge != 1:
+        return set()
+    return set(_well_formed_codes(multiset.counts))
+
+
+def _well_formed_codes(counts: dict[int, int]) -> Iterator[tuple[int, ...]]:
+    # Depth first over the code prefixes of a charge-1 multiset.  A prefix
+    # of charge <= 0 can always be completed (largest degrees first, leaves
+    # last), so every branch ends in a tree.  One degree iterator per depth
+    # stands in for recursion, which a long unary chain would overflow.
+    left = dict(counts)
+    last = sum(counts.values()) - 1
+    code: list[int] = []
+    stack = [(iter(counts), 0)]  # candidate degrees, and the charge so far
+    while stack:
+        degrees, charge = stack[-1]
+        for degree in degrees:
+            if left[degree] and (charge + 1 - degree <= 0 or len(code) == last):
+                left[degree] -= 1
+                code.append(degree)
+                if len(code) > last:
+                    yield tuple(code)
+                stack.append((iter(counts), charge + 1 - degree))
+                break
+        else:
+            stack.pop()
+            if code:
+                left[code.pop()] += 1
 
 
 def count_trees(multiset: DegreeMultiset) -> int:
@@ -81,6 +86,15 @@ def count_trees(multiset: DegreeMultiset) -> int:
     """
     primes, exponents = _count_exponents(multiset)
     return _balanced_product(map(pow, primes, exponents), mul, 1)
+
+
+def _count_decimal(multiset: DegreeMultiset) -> decimal.Decimal:
+    # count_trees formed in decimal, where libmpdec multiplies long numbers
+    # by a number-theoretic transform and str() is linear; no
+    # binary-to-decimal conversion (quadratic in CPython) ever runs.
+    primes, exponents = _count_exponents(multiset)
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    return _balanced_product(map(exact.power, primes, exponents), exact.multiply, 1)
 
 
 def _count_exponents(multiset: DegreeMultiset) -> tuple[list[int], list[int]]:

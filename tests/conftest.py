@@ -81,6 +81,15 @@ def comb_chain_count(multiset):
     return count
 
 
+def brute_trees(multiset):
+    """Every well-formed code over ``multiset``, by filtering all orderings.
+
+    A reference for the library's pruned walk; it takes ``n!`` steps.
+    """
+    orderings = set(itertools.permutations(multiset.to_sequence()))
+    return {code for code in orderings if brute_well_formed(code)}
+
+
 @st.composite
 def constructible_multiset_strategy(draw, max_nodes, max_degree):
     """A charge-1 multiset of at most ``max_nodes`` nodes.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 
 from conftest import (
+    brute_trees,
     brute_well_formed,
     comb_chain_count,
     constructible_multiset_strategy,
@@ -20,31 +21,10 @@ from degtree import (
     binary_leaf_count,
     catalan,
     count_trees,
-    distinct_permutations,
     enumerate_trees,
     is_constructible,
 )
 from degtree.cli import main
-
-
-class TestDistinctPermutations:
-    def test_lexicographic_and_duplicate_free(self):
-        assert list(distinct_permutations([1, 1, 2])) == [
-            (1, 1, 2),
-            (1, 2, 1),
-            (2, 1, 1),
-        ]
-
-    def test_matches_itertools_set(self):
-        for values in ([3, 1, 2], [0, 0, 1, 1], [2, 2, 2], [5], [0, 1, 1, 1, 2]):
-            mine = list(distinct_permutations(values))
-            assert len(mine) == len(set(mine))
-            assert set(mine) == set(itertools.permutations(values))
-
-    def test_count_formula(self):
-        values = [0, 0, 0, 1, 2, 2]
-        expected = factorial(6) // (factorial(3) * factorial(1) * factorial(2))
-        assert sum(1 for _ in distinct_permutations(values)) == expected
 
 
 class TestEnumerateTrees:
@@ -68,6 +48,15 @@ class TestEnumerateTrees:
     def test_not_constructible_gives_empty_set(self):
         assert enumerate_trees(DegreeMultiset({0: 1, 2: 1})) == set()
         assert enumerate_trees(DegreeMultiset({0: 3, 3: 2})) == set()
+        assert enumerate_trees(DegreeMultiset({0: 2})) == set()
+
+    def test_matches_brute_force_filter(self):
+        for multiset in constructible_multisets(7, 4):
+            assert enumerate_trees(multiset) == brute_trees(multiset), multiset
+
+    def test_long_unary_chain_does_not_recurse(self):
+        chain = DegreeMultiset({0: 1, 1: 3000})
+        assert enumerate_trees(chain, bound=3001) == {(1,) * 3000 + (0,)}
 
     def test_size_bound(self):
         eleven = DegreeMultiset({0: 6, 2: 5})
