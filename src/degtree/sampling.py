@@ -22,7 +22,7 @@ in Python slicing terms ``rotate(s, k) == s[k:] + s[:k]``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .degrees import DegreeMultiset, _charge_peak
 from .errors import NotConstructibleError
@@ -108,16 +108,20 @@ def sample_tree(multiset: DegreeMultiset, source) -> list[int]:
         NotConstructibleError: if the multiset charge differs from 1, i.e.
             no tree uses all of its nodes.
     """
-    return sample_trees(multiset, source, 1)[0]
+    return next(sample_trees(multiset, source, 1))
 
 
-def sample_trees(multiset: DegreeMultiset, source, count: int) -> list[list[int]]:
-    """Draw ``count`` independent uniform trees matching ``multiset``.
+def sample_trees(multiset: DegreeMultiset, source, count: int) -> Iterator[list[int]]:
+    """Iterate over ``count`` independent uniform trees matching ``multiset``.
 
-    Returns exactly ``[sample_tree(multiset, source) for _ in
-    range(count)]`` and leaves ``source`` at the same word, but draws the
-    words of many trees in one batch.  ``count == 0`` returns ``[]``.
-    Both checks below fail before any word is drawn.
+    Yields the same trees as ``count`` successive ``sample_tree(multiset,
+    source)`` calls, and once the iterator is used up ``source`` stands at
+    the same word as after those calls.  The words of many trees are
+    drawn in one batch, a bounded chunk of them ahead of the tree being
+    yielded, so nothing else may draw from ``source`` mid-iteration.
+    Only that chunk and the tree just yielded are held, however large
+    ``count`` is.  ``count == 0`` yields nothing.  Both checks below are
+    made when ``sample_trees`` is called, before any word is drawn.
 
     Raises:
         ValueError: if ``count`` is negative.
@@ -128,10 +132,13 @@ def sample_trees(multiset: DegreeMultiset, source, count: int) -> list[list[int]
     total = multiset.charge
     if total != 1:
         raise NotConstructibleError(total)
+    return _trees(multiset, source, count)
+
+
+def _trees(multiset: DegreeMultiset, source, count: int) -> Iterator[list[int]]:
     sequence = multiset.to_sequence()
-    rows = _shuffle_draws(source, len(sequence), count)
-    trees = []
-    for _ in range(count):
-        shuffled, k = _swapped(sequence, next(rows))
-        trees.append(shuffled[k:] + shuffled[:k])
-    return trees
+    for draws in _shuffle_draws(source, len(sequence), count):
+        shuffled, k = _swapped(sequence, draws)
+        tree = shuffled[k:] + shuffled[:k]
+        del shuffled, draws  # not held while the caller has the tree
+        yield tree

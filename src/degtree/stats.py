@@ -6,14 +6,9 @@ import json
 from dataclasses import dataclass
 
 from .degrees import DegreeMultiset
-from .errors import NotConstructibleError
 from .oracle import enumerate_trees
 from .rng import RandomSource
 from .sampling import sample_trees
-
-# Trees drawn per sample_trees call: the codes held at once stay bounded
-# however many samples are asked for.
-_BLOCK = 1 << 14
 
 
 @dataclass
@@ -66,17 +61,13 @@ def uniformity_report(
     """
     if samples <= 0:
         raise ValueError(f"samples must be positive, got {samples}")
-    total_charge = multiset.charge
-    if total_charge != 1:
-        raise NotConstructibleError(total_charge)
-    outcomes = enumerate_trees(multiset)
-    counts = {code: 0 for code in sorted(outcomes)}
-    for start in range(0, samples, _BLOCK):
-        for code in sample_trees(multiset, source, min(_BLOCK, samples - start)):
-            code = tuple(code)
-            if code not in counts:
-                raise RuntimeError(f"sampled code {code} outside the enumerated space")
-            counts[code] += 1
+    # sample_trees checks the charge, drawing nothing, before the size check
+    trees = sample_trees(multiset, source, samples)
+    counts = {code: 0 for code in sorted(enumerate_trees(multiset))}
+    for code in map(tuple, trees):
+        if code not in counts:
+            raise RuntimeError(f"sampled code {code} outside the enumerated space")
+        counts[code] += 1
     expected = samples / len(counts)
     chi_square = sum((observed - expected) ** 2 for observed in counts.values())
     chi_square /= expected

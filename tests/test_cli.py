@@ -138,20 +138,22 @@ class TestSample:
         assert "charge 2" in err
 
     @pytest.mark.parametrize("rounds", [1, 3])
-    @pytest.mark.parametrize("count", [1, 143])
-    @pytest.mark.parametrize("top", [9, 10, 256])
+    @pytest.mark.parametrize(
+        "top, count", [(top, count) for top in (9, 10, 256) for count in (1, 143)] + [(9, 30_000)]
+    )
     def test_prefix_lines_equal_the_library_trees(self, capsys, top, count, rounds):
         # top degree 9 takes the one-pass digit writer and 10 up the
         # per-tree join; 256 does not fit the digit writer's bytes at all.
         # With count 1, the 12- to 30-node trees of top 9 and the 13-node
         # tree of top 10 draw fewer than 32 words, so they come from the
-        # scalar next_below path; the rest are batched.
+        # scalar next_below path; the rest are batched.  30 000 trees of
+        # top 9 take the digit writer across several of its write blocks.
         counts = {0: 1 + (top - 1) * rounds, 1: 2, top: rounds}
         spec = ",".join(f"{d}:{m}" for d, m in counts.items())
         code, out, err = run(
             ["sample", "--degrees", spec, "--seed", "11", "--count", str(count)], capsys
         )
-        trees = sample_trees(DegreeMultiset(counts), RandomSource(11), count)
+        trees = list(sample_trees(DegreeMultiset(counts), RandomSource(11), count))
         assert (code, err) == (0, "")
         # out == "\n".join(...) + "\n", line by line: a failing diff of the
         # whole text would take minutes to print
@@ -464,8 +466,13 @@ def test_module_entry_point():
           "--seed", "1", "--count", "400"], 1),
         # one line, which buffered stdout writes only when it is flushed
         (["check", "--degrees", "0,0,2"], 0),
+        # a billion trees, which end in seconds only if they are drawn and
+        # written as a stream
+        (["sample", "--degrees", "0:2,2:1", "--seed", "1", "--count", "1000000000"], 1),
+        (["sample", "--degrees", "0:2,2:1", "--seed", "1", "--count", "1000000000",
+          "--format", "sexpr"], 1),
     ],
-    ids=["long_output", "buffered_output"],
+    ids=["long_output", "buffered_output", "streamed_prefix", "streamed_sexpr"],
 )
 def test_closed_stdout_exits_without_traceback(argv, lines_read):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -479,6 +486,10 @@ def test_closed_stdout_exits_without_traceback(argv, lines_read):
         for _ in range(lines_read):
             assert process.stdout.readline()
         process.stdout.close()
-        stderr = process.stderr.read()
+        try:
+            stderr = process.communicate(timeout=60)[1]
+        except subprocess.TimeoutExpired:
+            process.kill()
+            raise
     assert process.returncode == 1
     assert stderr == ""

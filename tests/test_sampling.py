@@ -313,7 +313,7 @@ class TestSampleTrees:
         multiset = _binary_multiset(size)
         for count in (0, 1, 2, 143, 1000):
             batched, sequential = RandomSource(size), RandomSource(size)
-            trees = sample_trees(multiset, batched, count)
+            trees = list(sample_trees(multiset, batched, count))
             assert trees == [sample_tree(multiset, sequential) for _ in range(count)]
             assert batched.words_consumed == sequential.words_consumed
 
@@ -324,7 +324,7 @@ class TestSampleTrees:
         monkeypatch.setattr(rng, "_CHUNK_WORDS", 50)
         multiset = _binary_multiset(size)
         batched, sequential = RecordingSource(3), RandomSource(3)
-        trees = sample_trees(multiset, batched, 143)
+        trees = list(sample_trees(multiset, batched, 143))
         assert trees == [sample_tree(multiset, sequential) for _ in range(143)]
         assert batched.words_consumed == sequential.words_consumed
         assert batched.rewinds == 0
@@ -340,11 +340,19 @@ class TestSampleTrees:
         probe.next_words(i)
         assert probe.next_word() == 2**64 - 1
         fast, slow = RecordingSource(seed), ScalarOnly(seed)
-        trees = sample_trees(multiset, fast, 4)
+        trees = list(sample_trees(multiset, fast, 4))
         assert trees == [sample_tree(multiset, slow) for _ in range(4)]
         assert fast.batches == [36] and fast.rewinds == 1
         assert fast.words_consumed == slow._source.words_consumed == 4 * 9 + 1
         assert fast.next_word() == slow._source.next_word()
+
+    def test_trees_are_drawn_lazily(self):
+        # a billion 10-node trees: the first comes after one chunk of words
+        multiset = _binary_multiset(10)
+        source = RandomSource(7)
+        first = next(sample_trees(multiset, source, 10**9))
+        assert first == sample_tree(multiset, RandomSource(7))
+        assert source.words_consumed <= rng._CHUNK_WORDS
 
     @pytest.mark.parametrize("size", [1023, 1024, 1025, 5000, 100_000])
     def test_equals_shuffle_then_rotate(self, size):
@@ -359,7 +367,7 @@ class TestSampleTrees:
         source = RandomSource(5)
         with pytest.raises(ValueError, match="non-negative"):
             sample_trees(_binary_multiset(50), source, -1)
-        assert sample_trees(_binary_multiset(50), source, 0) == []
+        assert list(sample_trees(_binary_multiset(50), source, 0)) == []
         with pytest.raises(NotConstructibleError) as info:
             sample_trees(DegreeMultiset({0: 40, 2: 1}), source, 10)
         assert info.value.charge == 39
