@@ -6,6 +6,8 @@ while ``count_trees`` evaluates the closed form ``(n-1)! / prod(m_d!)``
 exactly, from the exponent of each prime in it (Legendre's formula) and
 a balanced product of the prime powers.  The test suite holds the two
 routes equal over a full sweep of small multisets before either is trusted.
+numpy is imported only by the exponent step, so importing this module
+does not load it.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from __future__ import annotations
 import decimal
 from math import factorial, isqrt
 from operator import mul
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 # unused here; bench test_names_rebound_by_import_are_traced wraps oracle.is_well_formed
 from .degrees import DegreeMultiset, is_well_formed
 from .errors import EnumerationTooLargeError, NotConstructibleError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Node-count ceiling for exhaustive enumeration.  The walk visits O(n)
 #: prefixes per tree, so the bound caps the size of the result: no 10-node
@@ -104,6 +107,8 @@ def _count_exponents(multiset: DegreeMultiset) -> tuple[list[int], list[int]]:
     total_charge = multiset.charge
     if total_charge != 1:
         raise NotConstructibleError(total_charge)
+    import numpy as np
+
     top = multiset.total_nodes - 1
     sieve = np.ones(top + 1, dtype=bool)
     sieve[:2] = False
@@ -123,6 +128,8 @@ def _factorial_exponents(m: int, primes: np.ndarray) -> np.ndarray:
     # Legendre's formula: the exponent of p in m! is the sum over k >= 1 of
     # m // p**k, found as repeated floor division of m by p.  The quotients
     # fall as p grows, so the primes still contributing are a prefix.
+    import numpy as np
+
     exponents = np.zeros(len(primes), dtype=np.int64)
     quotients = np.full(len(primes), m, dtype=np.int64)
     while len(primes):

@@ -13,14 +13,20 @@ chain word for word.
 The generator is hand-rolled rather than borrowed from ``random.Random``
 so that seeded streams are stable across interpreter versions; the golden
 files in the test suite depend on that.
+
+numpy is imported only where a batch is drawn, so importing this module,
+and any run that draws fewer than ``_BATCH_WORDS`` words at a time, does
+not load it.
 """
 
 from __future__ import annotations
 
 import secrets
 from operator import index
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _WORD_SPAN = 1 << 64
@@ -29,8 +35,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 # From about this many words one numpy batch beats the next_below chain.
 _BATCH_WORDS = 32
-# Most words in one draw batch (8 MiB of uint64) unless a single row is longer.
-_CHUNK_WORDS = 1 << 20
+# Most words in one draw batch (512 KiB of uint64, plus the shifted copy
+# next_words holds while mixing) unless a single row is longer.
+_CHUNK_WORDS = 1 << 16
 
 
 def _mix(z: int) -> int:
@@ -91,6 +98,8 @@ class RandomSource:
         Produces exactly the words ``n`` successive ``next_word`` calls
         would, then advances the stream past them.
         """
+        import numpy as np
+
         # in place, so only z and one shifted copy are ever held
         z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
@@ -127,6 +136,8 @@ def _shuffle_draws(source, n: int, rows: int):
         take = min(per_chunk, rows - start)
         size = take * (n - 1)
         if size >= _BATCH_WORDS and isinstance(source, RandomSource):
+            import numpy as np
+
             words = source.next_words(size).reshape(take, n - 1)
             bounds = np.arange(n, 1, -1, dtype=np.uint64)
             # next_below(b) takes words below 2**64 - 2**64 % b, i.e. up to

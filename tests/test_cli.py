@@ -457,6 +457,48 @@ def test_module_entry_point():
     assert result.stdout == "charge=1 constructible=true\n"
 
 
+_NUMPY_PROBE = """
+import json, sys
+import degtree
+loaded = ["numpy" in sys.modules]
+from degtree.cli import main
+loaded.append("numpy" in sys.modules)
+code = main(sys.argv[1:])
+loaded.append("numpy" in sys.modules)
+print(json.dumps([code, loaded]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, uses_numpy",
+    [
+        (["check", "--degrees", "0:4,1:1,2:1,3:1"], 0, False),
+        (["enumerate", "--degrees", "0:5,1:2,2:2,3:1"], 0, False),
+        # 7 nodes draw 6 words, too few for a batch
+        (["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "1"], 0, False),
+        (["--help"], 0, False),
+        (["sample", "--degrees", "zero"], 1, False),
+        (["count", "--degrees", "0,0"], 2, False),
+        # 33 nodes draw 32 words, one batch
+        (["sample", "--degrees", "0:17,2:16", "--seed", "1"], 0, True),
+        (["count", "--degrees", "0:4,2:3"], 0, True),
+    ],
+    ids=["check", "enumerate", "small_sample", "help", "usage_error",
+         "infeasible", "batched_sample", "count"],
+)
+def test_numpy_is_loaded_only_by_batches_and_count(argv, code, uses_numpy):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report == [code, [False, False, uses_numpy]]
+
+
 @pytest.mark.parametrize(
     "argv, lines_read",
     [
