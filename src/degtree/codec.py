@@ -2,19 +2,20 @@
 
 A preorder outdegree code maps to a unique ordered tree: reading left to
 right, a symbol of value ``d`` opens a node that owns the next ``d``
-complete subtrees.  The renderers and ``decode_prefix`` all read a code
-in one O(n) preorder pass with a stack of pending child counts, so each
-raises what ``decode_prefix`` raises on a malformed code, and nothing
-recurses: unary chains of millions of nodes are fine.
+complete subtrees.  ``decode_prefix`` and the renderers read a code with
+one O(n) stack pass into flat lists of parents and closed-subtree counts,
+then link nodes or join text from them; nothing recurses, so unary chains
+of millions of nodes are fine, and all raise alike on a malformed code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index
-from typing import Iterator, Mapping, Sequence
+from operator import add, getitem, index, mul, ne
+from typing import Mapping, Sequence
 
 from .errors import MissingArityError, TrailingSymbolsError, TruncatedCodeError
+from .rng import _bounded_draws
 
 
 @dataclass
@@ -45,6 +46,11 @@ class OperatorAlphabet:
                 raise ValueError(f"arity {arity} has non-string symbols")
             table[int(arity)] = choices
         self._table = table
+        # each symbol's infix text: what opens its node, and what parts its children
+        self._opens = {a: ("(",) * len(row) if a == 2 else tuple([s + "(" for s in row]) if a else row
+                       for a, row in table.items()}
+        self._joins = {a: tuple([f" {s} " for s in row]) if a == 2 else (", ",) * len(row)
+                       for a, row in table.items()}
 
     def symbols_for(self, arity: int) -> tuple[str, ...]:
         """Candidate spellings for ``arity``; raises MissingArityError if none."""
@@ -58,51 +64,67 @@ class OperatorAlphabet:
         return set(self._table)
 
 
-def _preorder(code: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
-    """Walk a prefix code, yielding ``(position, degree, parent, closed)``.
+class _Pieces(dict):
+    # The text of each outdegree, kept for the process.  It is made from
+    # operator.index(degree): True or a numpy integer reads like an int.
+    def __init__(self, make):
+        self.make = make
 
-    ``parent`` is the position of the node's parent (-1 for the root), so
-    a node has an earlier sibling exactly when ``position > parent + 1``.
-    ``closed`` counts the internal nodes whose last subtree ends at this
-    node (0 except at leaves).  Raises what :func:`decode_prefix` documents,
-    at the first symbol that breaks the grammar or at the end of the code.
+    def __missing__(self, degree):
+        piece = self[degree] = self.make(index(degree))
+        return piece
+
+
+_SEXPR_PIECES = _Pieces(lambda d: f"({d}" if d else "0")
+# a comma before every node; to_json drops those after "[" and at the root
+_JSON_PIECES = _Pieces(lambda d: ',{"degree":%d,"children":[%s' % (d, "" if d else "]}"))
+_DOT_LABELS = _Pieces(' [label="{}"];'.format)
+
+
+def _structure(code: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Each node's parent position (-1 at the root) and count of internal
+    nodes whose last subtree ends at it.  Raises what :func:`decode_prefix`
+    documents, at the first symbol that breaks the grammar or at the end.
     """
-    # [position, subtrees still missing] of each node whose subtree is open
-    stack: list[list[int]] = []
-    position = -1
-    for position, degree in enumerate(code):
-        degree = index(degree)
-        if degree < 0:
+    n = len(code)
+    parents, closed = [-1] * n, [0] * n
+    # The innermost open node and the subtrees it misses, over a stack of the
+    # same for its open ancestors, a virtual parent of the root and a guard.
+    top, missing, tops, misses = -1, 1, [-1], [2]  # the guard misses two: it never closes
+    for position, degree in enumerate(map(index, code)):
+        parents[position] = top
+        if degree > 0:
+            tops.append(top)
+            misses.append(missing)
+            top, missing = position, degree
+        elif degree:
             raise ValueError(f"outdegree at position {position} is negative")
-        if position and not stack:
-            raise TrailingSymbolsError(position)
-        parent = stack[-1][0] if stack else -1
-        closed = 0
-        if degree:
-            stack.append([position, degree])
         else:
             # a leaf completes one subtree of each ancestor it closes
-            while stack:
-                stack[-1][1] -= 1
-                if stack[-1][1]:
-                    break
-                stack.pop()
-                closed += 1
-        yield position, degree, parent, closed
-    if position < 0:
+            count = 0
+            while missing == 1:
+                count += 1
+                top, missing = tops.pop(), misses.pop()
+            missing -= 1
+            closed[position] = count
+            if top < 0:  # the tree is complete; a negative next symbol raises above
+                closed[position] -= 1  # the virtual parent is no node
+                if position + 1 < n and index(code[position + 1]) >= 0:
+                    raise TrailingSymbolsError(position + 1)
+    if not n:
         raise TruncatedCodeError("empty code: a tree needs at least one node")
-    if stack:
+    if top >= 0:
         # Nodes yet to start a child: the innermost open one, and each
         # other one missing more than the subtree in progress under it.
-        unstarted = 1 + sum(1 for _, missing in stack[:-1] if missing > 1)
+        unstarted = 1 + sum(1 for m in misses[2:] if m > 1)
         raise TruncatedCodeError(f"code ended with {unstarted} node(s) still missing children")
+    return parents, closed
 
 
 def decode_prefix(code: Sequence[int]) -> TreeNode:
     """Decode a preorder outdegree code into its unique tree.
 
-    Consumes the entire sequence; decoding succeeds exactly on well-formed
-    codes.  Iterative, so arbitrarily deep chains are fine.
+    Consumes the entire sequence; decoding succeeds exactly on well-formed codes.
 
     Raises:
         ValueError: a negative outdegree.
@@ -111,12 +133,10 @@ def decode_prefix(code: Sequence[int]) -> TreeNode:
         TrailingSymbolsError: a complete tree was closed before the end;
             carries the position of the first extra symbol.
     """
-    nodes: list[TreeNode] = []
-    for _, degree, parent, _ in _preorder(code):
-        node = TreeNode(degree)
-        if parent >= 0:
-            nodes[parent].children.append(node)
-        nodes.append(node)
+    parents = _structure(code)[0]
+    nodes = [TreeNode(degree) for degree in map(index, code)]
+    for node, parent in zip(nodes[1:], parents[1:]):
+        nodes[parent].children.append(node)
     return nodes[0]
 
 
@@ -133,27 +153,16 @@ def encode_prefix(tree: TreeNode) -> list[int]:
 
 def to_sexpr(code: Sequence[int]) -> str:
     """Parenthesised preorder: leaves as ``0``, a degree-d node as ``(d c1 ... cd)``."""
-    return " ".join(
-        f"({degree}" if degree else "0" + ")" * closed
-        for _, degree, _, closed in _preorder(code)
-    )
+    closed = _structure(code)[1]
+    return " ".join(map(add, map(_SEXPR_PIECES.__getitem__, code), map(")".__mul__, closed)))
 
 
 def to_json(code: Sequence[int]) -> str:
-    """Compact JSON nesting ``{"degree": d, "children": [...]}``.
-
-    Parses back (for example with ``json.loads``) to a structure mirroring
-    the tree exactly.
-    """
-    pieces: list[str] = []
-    for position, degree, parent, closed in _preorder(code):
-        if position > parent + 1:
-            pieces.append(",")
-        if degree:
-            pieces.append('{"degree":%d,"children":[' % degree)
-        else:
-            pieces.append('{"degree":0,"children":[]}' + "]}" * closed)
-    return "".join(pieces)
+    """Compact JSON nesting ``{"degree": d, "children": [...]}``; parses back
+    (for example with ``json.loads``) to a structure mirroring the tree."""
+    closed = _structure(code)[1]
+    text = "".join(map(add, map(_JSON_PIECES.__getitem__, code), map("]}".__mul__, closed)))
+    return text.replace("[,", "[")[1:]
 
 
 def to_dot(code: Sequence[int]) -> str:
@@ -162,20 +171,15 @@ def to_dot(code: Sequence[int]) -> str:
     All node lines come first (preorder order), then one edge line per
     parent-child pair in visiting order.  Byte-stable for a given code.
     """
-    labels: list[str] = []
-    edges: list[str] = []
-    for position, degree, parent, _ in _preorder(code):
-        labels.append(f'  {position} [label="{degree}"];')
-        if parent >= 0:
-            edges.append(f"  {parent} -> {position};")
-    return "digraph tree {\n" + "\n".join(labels + edges) + "\n}\n"
+    parents = _structure(code)[0]
+    ids = list(map(str, range(len(code))))
+    nodes = "\n  ".join(map(add, ids, map(_DOT_LABELS.__getitem__, code)))
+    edges = "".join(map("\n  {} -> {};".format, map(ids.__getitem__, parents[1:]), ids[1:]))
+    return "digraph tree {\n  " + nodes + edges + "\n}\n"
 
 
 def render_expression(
-    code: Sequence[int],
-    alphabet: OperatorAlphabet,
-    source,
-    style: str = "prefix",
+    code: Sequence[int], alphabet: OperatorAlphabet, source, style: str = "prefix"
 ) -> str:
     """Render the tree of ``code`` as an expression, drawing each symbol uniformly.
 
@@ -191,25 +195,21 @@ def render_expression(
     Raises, each before any symbol is drawn:
         ValueError: unknown style, or a negative outdegree.
         TruncatedCodeError, TrailingSymbolsError: ``code`` is malformed.
-        MissingArityError: some outdegree in the code has no alphabet
-            entry.
+        MissingArityError: an outdegree of the code has no alphabet entry.
     """
     if style not in ("prefix", "infix"):
         raise ValueError(f"unknown style {style!r}")
-    nodes = list(_preorder(code))
+    parents, closed = _structure(code)
     for arity in sorted(set(code)):
         alphabet.symbols_for(arity)
-    labels = [s[source.next_below(len(s))] for s in map(alphabet.symbols_for, code)]
+    draws = _bounded_draws(source, list(map(len, map(alphabet._table.__getitem__, code))))
+
+    def pick(table):  # the entry each node drew from its arity's row
+        return map(getitem, map(table.__getitem__, code), draws)
+
     if style == "prefix":
-        return " ".join(labels)
-    pieces: list[str] = []
-    for position, degree, parent, closed in nodes:
-        if position > parent + 1:
-            pieces.append(f" {labels[parent]} " if code[parent] == 2 else ", ")
-        if degree == 0:
-            pieces.append(labels[position] + ")" * closed)
-        elif degree == 2:
-            pieces.append("(")
-        else:
-            pieces.append(labels[position] + "(")
-    return "".join(pieces)
+        return " ".join(pick(alphabet._table))
+    # each node opens after its parent's separator, if it has an earlier sibling
+    joins = list(pick(alphabet._joins))
+    before = map(mul, map(joins.__getitem__, parents), map(ne, parents, range(-1, len(code) - 1)))
+    return "".join(map(add, map(add, before, pick(alphabet._opens)), map(")".__mul__, closed)))

@@ -119,6 +119,36 @@ class RandomSource:
         self._count -= n
 
 
+def _rejects(words: np.ndarray, bounds: np.ndarray, top: int) -> bool:
+    # Whether next_below would reject any of ``words``, drawn below the
+    # matching ``bounds`` (broadcast), each at most ``top``.  next_below(b)
+    # takes words below 2**64 - 2**64 % b, i.e. up to ~(2**64 % b).  For
+    # b <= top that limit is above 2**64 - top, so one max() clears nearly
+    # every batch without the exact test and its batch-sized temporaries.
+    import numpy as np
+
+    return bool(words.max() > np.uint64(_WORD_SPAN - top)) and bool(
+        (words > ~((np.uint64(0) - bounds) % bounds)).any()
+    )
+
+
+def _bounded_draws(source, bounds: list[int]) -> list[int]:
+    # [source.next_below(b) for b in bounds], leaving source at the same
+    # word.  A RandomSource draws _BATCH_WORDS or more of them as one
+    # next_words batch; a batch with a word that next_below would reject is
+    # rewound and drawn by next_below, as in _shuffle_draws.
+    if len(bounds) >= _BATCH_WORDS and isinstance(source, RandomSource):
+        import numpy as np
+
+        words = source.next_words(len(bounds))
+        limits = np.array(bounds, dtype=np.uint64)
+        if not _rejects(words, limits, max(bounds)):
+            words %= limits
+            return words.tolist()
+        source.rewind(len(bounds))
+    return [source.next_below(b) for b in bounds]
+
+
 def _shuffle_draws(source, n: int, rows: int):
     # Yield the draws of ``rows`` successive n-item Fisher-Yates shuffles,
     # one iterable per shuffle in next_below's order (bounds n down to 2),
@@ -140,13 +170,7 @@ def _shuffle_draws(source, n: int, rows: int):
 
             words = source.next_words(size).reshape(take, n - 1)
             bounds = np.arange(n, 1, -1, dtype=np.uint64)
-            # next_below(b) takes words below 2**64 - 2**64 % b, i.e. up to
-            # ~(2**64 % b).  For b <= n that limit is above 2**64 - n, so one
-            # max() clears nearly every batch without the exact test and its
-            # row-sized temporaries.
-            if words.max() <= np.uint64(_WORD_SPAN - n) or not (
-                words > ~((np.uint64(0) - bounds) % bounds)
-            ).any():
+            if not _rejects(words, bounds, n):
                 words %= bounds
                 del bounds  # not held while the rows are swapped
                 yield from map(memoryview, words)

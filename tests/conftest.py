@@ -1,4 +1,5 @@
-"""Shared exhaustive families and independent brute-force oracles.
+"""Shared exhaustive families, independent brute-force oracles, and
+random sources that expose which draw path ran.
 
 ``brute_parse`` consumes a code by the recursive definition of an
 expression and is deliberately independent of both library criteria it is
@@ -11,10 +12,52 @@ from math import comb
 import pytest
 from hypothesis import strategies as st
 
-from degtree import DegreeMultiset
+from degtree import DegreeMultiset, RandomSource
+from degtree.rng import _MIX1, _MIX2
 
 MAX_DEGREE = 4
 MAX_LEN = 9
+
+
+def unmix(word):
+    """Inverse of splitmix64's finaliser ``rng._mix``."""
+
+    def unshift(y, s):  # invert y = x ^ (x >> s)
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(word, 31) * pow(_MIX2, -1, 2**64) % 2**64
+    z = unshift(z, 27) * pow(_MIX1, -1, 2**64) % 2**64
+    return unshift(z, 30)
+
+
+class ScalarOnly:
+    """Hides the RandomSource type so the generic next_below draw path runs."""
+
+    def __init__(self, seed):
+        self._source = RandomSource(seed)
+
+    def next_below(self, bound):
+        return self._source.next_below(bound)
+
+
+class RecordingSource(RandomSource):
+    """A RandomSource that records its batch sizes and rewinds."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.batches = []
+        self.rewinds = 0
+
+    def next_words(self, n):
+        self.batches.append(n)
+        return super().next_words(n)
+
+    def rewind(self, n):
+        self.rewinds += 1
+        super().rewind(n)
 
 
 def brute_parse(code, start=0):

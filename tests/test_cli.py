@@ -474,6 +474,11 @@ print(json.dumps([code, loaded]))
     [
         (["check", "--degrees", "0:4,1:1,2:1,3:1"], 0, False),
         (["enumerate", "--degrees", "0:5,1:2,2:2,3:1"], 0, False),
+        (["enumerate", "--degrees", "0:5,1:2,2:2,3:1", "--format", "json"], 0, False),
+        (["enumerate", "--degrees", "0:5,1:2,2:2,3:1", "--format", "dot"], 0, False),
+        # 7 labels per tree, too few for a batch
+        (["fuzz-expr", "--degrees", "0:4,1:1,2:1,3:1", "--alphabet", ALPHABET, "--seed", "1",
+          "--count", "3", "--style", "infix"], 0, False),
         # 7 nodes draw 6 words, too few for a batch
         (["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "1"], 0, False),
         (["--help"], 0, False),
@@ -483,8 +488,8 @@ print(json.dumps([code, loaded]))
         (["sample", "--degrees", "0:17,2:16", "--seed", "1"], 0, True),
         (["count", "--degrees", "0:4,2:3"], 0, True),
     ],
-    ids=["check", "enumerate", "small_sample", "help", "usage_error",
-         "infeasible", "batched_sample", "count"],
+    ids=["check", "enumerate", "enumerate_json", "enumerate_dot", "small_fuzz_expr",
+         "small_sample", "help", "usage_error", "infeasible", "batched_sample", "count"],
 )
 def test_numpy_is_loaded_only_by_batches_and_count(argv, code, uses_numpy):
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,9 +1,14 @@
 import json
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from conftest import all_sequences, brute_well_formed
+from conftest import RecordingSource, ScalarOnly, all_sequences, brute_well_formed, unmix
 from degtree import (
+    DegreeMultiset,
     MissingArityError,
     OperatorAlphabet,
     RandomSource,
@@ -14,10 +19,12 @@ from degtree import (
     encode_prefix,
     is_well_formed,
     render_expression,
+    sample_tree,
     to_dot,
     to_json,
     to_sexpr,
 )
+from degtree.rng import _GOLDEN
 
 
 def leaf():
@@ -151,6 +158,56 @@ def test_renders_handle_deep_chains():
     alphabet = OperatorAlphabet({0: ["x"], 1: ["f"]})
     rendered = render_expression(code, alphabet, RandomSource(1), style="infix")
     assert rendered == "f(" * 50000 + "x" + ")" * 50000
+
+
+@pytest.mark.parametrize(
+    "render",
+    [to_sexpr, to_json, to_dot,
+     lambda code: render_expression(code, OperatorAlphabet({0: ["x"], 1: ["f"]}), RandomSource(1),
+                                    style="infix")],
+    ids=["to_sexpr", "to_json", "to_dot", "render_expression"],
+)
+def test_deep_chain_renders_in_linear_memory(render):
+    # A closing run built from a table of ")" * c for every c up to the
+    # deepest one holds about n**2 / 2 bytes (200 MB here) while its output
+    # is under 1 MB; what the render holds must stay a fixed multiple of it.
+    code = [1] * 20000 + [0]
+    render(code[-33:])  # imports and memoised pieces are not the render's
+    tracemalloc.start()
+    try:
+        text = render(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * len(text), (peak, len(text))
+
+
+def test_items_that_are_not_plain_ints_render_as_ints():
+    # in a fresh interpreter, so that True is the first item any renderer
+    # sees with the value 1
+    script = """
+import numpy as np
+from degtree import OperatorAlphabet, RandomSource, render_expression, to_dot, to_json, to_sexpr
+assert to_sexpr([True, False]) == "(1 0)"
+assert '  0 [label="1"];' in to_dot([True, False])
+assert to_json([True, False]) == to_json([1, 0])
+code = [3, 1, 0, 2, 0, 0, 0]
+wide = np.array(code, dtype=np.int64)
+for render in (to_sexpr, to_json, to_dot):
+    assert render(wide) == render(code), render
+alphabet = OperatorAlphabet({d: [f"s{d}", f"t{d}"] for d in range(4)})
+for style in ("prefix", "infix"):
+    assert render_expression(wide, alphabet, RandomSource(3), style) == render_expression(
+        code, alphabet, RandomSource(3), style)
+assert to_sexpr([1, 0]) == "(1 0)"
+assert '  0 [label="1"];' in to_dot([1, 0])
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + script],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestSexpr:
@@ -309,6 +366,34 @@ class TestRenderExpression:
         for seq in well_formed_family[::7]:
             rendered = render_expression(seq, ARITH, source, style="infix")
             assert parse_infix(rendered) == list(seq), rendered
+
+
+class TestBatchedLabels:
+    # five symbols at every arity: next_below(5) rejects the word 2**64 - 1,
+    # since 2**64 % 5 == 1
+    FIVE = OperatorAlphabet({d: [f"s{d}{k}" for k in range(5)] for d in range(4)})
+    # 33 nodes, so 33 labels: enough for one next_words batch
+    CODE = sample_tree(DegreeMultiset({0: 15, 1: 8, 2: 6, 3: 4}), RandomSource(8))
+
+    @pytest.mark.parametrize("style", ["prefix", "infix"])
+    def test_batched_labels_equal_the_scalar_chain(self, style):
+        fast, slow = RecordingSource(2024), ScalarOnly(2024)
+        rendered = render_expression(self.CODE, self.FIVE, fast, style)
+        assert rendered == render_expression(self.CODE, self.FIVE, slow, style)
+        assert fast.words_consumed == slow._source.words_consumed == len(self.CODE)
+        assert (fast.batches, fast.rewinds) == ([len(self.CODE)], 0)
+
+    @pytest.mark.parametrize("style", ["prefix", "infix"])
+    def test_rejected_word_rewinds_to_the_scalar_chain(self, style):
+        seed = (unmix(2**64 - 1) - _GOLDEN) % 2**64
+        assert RandomSource(seed).next_word() == 2**64 - 1
+        fast, slow = RecordingSource(seed), ScalarOnly(seed)
+        rendered = render_expression(self.CODE, self.FIVE, fast, style)
+        assert rendered == render_expression(self.CODE, self.FIVE, slow, style)
+        # the rejected word costs the chain one more word than it has labels
+        assert fast.words_consumed == slow._source.words_consumed == len(self.CODE) + 1
+        assert (fast.batches, fast.rewinds) == ([len(self.CODE)], 1)
+        assert fast.next_word() == slow._source.next_word()
 
 
 class TestOperatorAlphabet:

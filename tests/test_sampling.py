@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_well_formed
+from conftest import RecordingSource, ScalarOnly, brute_well_formed, unmix as _unmix
 from degtree import (
     ChargeNotOneError,
     DegreeMultiset,
@@ -20,7 +20,7 @@ from degtree import (
     sample_trees,
 )
 from degtree import rng
-from degtree.rng import _GOLDEN, _MIX1, _MIX2
+from degtree.rng import _GOLDEN
 from degtree.sampling import _swapped
 
 
@@ -34,30 +34,6 @@ class ScriptedSource:
         value = self.script.pop(0)
         assert 0 <= value < bound
         return value
-
-
-def _unmix(word):
-    """Inverse of splitmix64's finaliser ``rng._mix``."""
-
-    def unshift(y, s):  # invert y = x ^ (x >> s)
-        x = y
-        for _ in range(64 // s + 1):
-            x = y ^ (x >> s)
-        return x
-
-    z = unshift(word, 31) * pow(_MIX2, -1, 2**64) % 2**64
-    z = unshift(z, 27) * pow(_MIX1, -1, 2**64) % 2**64
-    return unshift(z, 30)
-
-
-class ScalarOnly:
-    """Hides the RandomSource type so the generic shuffle path runs."""
-
-    def __init__(self, seed):
-        self._source = RandomSource(seed)
-
-    def next_below(self, bound):
-        return self._source.next_below(bound)
 
 
 class TestShuffle:
@@ -288,23 +264,6 @@ def _binary_multiset(n):
     binary, unary = divmod(n - 1, 2)
     counts = {0: n - binary - unary, 1: unary, 2: binary}
     return DegreeMultiset({d: m for d, m in counts.items() if m})
-
-
-class RecordingSource(RandomSource):
-    """A RandomSource that records its batch sizes and rewinds."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.batches = []
-        self.rewinds = 0
-
-    def next_words(self, n):
-        self.batches.append(n)
-        return super().next_words(n)
-
-    def rewind(self, n):
-        self.rewinds += 1
-        super().rewind(n)
 
 
 class TestSampleTrees:
