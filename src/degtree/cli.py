@@ -12,6 +12,7 @@ code 1 and no traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -169,8 +170,8 @@ def _prefix_line(code: Sequence[int]) -> str:
 
 def _emit_trees(codes, fmt: str) -> None:
     # Each tree is written as soon as it is rendered, so no more than one
-    # rendered tree is held at once.  The table is built per call, so
-    # wrappers later set on these module names apply.
+    # rendered tree is held at once.  The table is built per call, not
+    # with the parser, so wrappers later set on these module names apply.
     render = {"prefix": _prefix_line, "sexpr": to_sexpr, "json": to_json, "dot": to_dot}[fmt]
     write = sys.stdout.write
     for i, code in enumerate(codes):
@@ -276,12 +277,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``degtree`` command line on each call."""
     parser = _Parser(
         prog="degtree",
         description="Uniformly random ordered trees with prescribed outdegrees.",
     )
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
 
+    # Each handler is bound here, when the parser is built: main() builds
+    # it once per process, so rebinding a cli._cmd_* name after the first
+    # main() call does not change which handler runs.
     def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument(
@@ -318,10 +323,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main()'s parser, built on its first call rather than at import (which
+# would add about 3 ms to every import) and shared by every later call:
+# parse_args returns a new Namespace and leaves the parser unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one ``degtree`` command line and return its exit code.
+
+    The parser is built on the first call and reused by every later call
+    in the process.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -21,7 +21,6 @@ not load it.
 
 from __future__ import annotations
 
-import secrets
 from operator import index
 from typing import TYPE_CHECKING
 
@@ -59,6 +58,8 @@ class RandomSource:
 
     def __init__(self, seed: int | None = None):
         if seed is None:
+            import secrets  # loaded only by unseeded runs
+
             seed = secrets.randbits(64)
         seed = index(seed)
         if not 0 <= seed < _WORD_SPAN:

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -447,6 +449,66 @@ class TestUsageErrors:
         assert "seed=" not in err
 
 
+_GOLDEN_CASES = [
+    (["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "7", "--count", "5"], "sample_prefix.txt"),
+    (["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "7", "--count", "5", "--format", "sexpr"],
+     "sample_sexpr.txt"),
+    (["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "7", "--count", "3", "--format", "json"],
+     "sample_json.txt"),
+    (["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "7", "--count", "2", "--format", "dot"],
+     "sample_dot.txt"),
+    (["enumerate", "--degrees", "0:4,1:1,2:1,3:1"], "enumerate_prefix.txt"),
+    (["enumerate", "--degrees", "0:3,2:2", "--format", "sexpr"], "enumerate_sexpr.txt"),
+    (["stats", "--degrees", "0:3,2:2", "--samples", "200", "--seed", "1"], "stats.txt"),
+    (["fuzz-expr", "--degrees", "0:4,1:1,2:1,3:1", "--alphabet", ALPHABET, "--seed", "3", "--count", "5"],
+     "fuzz_prefix.txt"),
+    (["fuzz-expr", "--degrees", "0:4,1:1,2:1,3:1", "--alphabet", ALPHABET, "--seed", "3", "--count", "5",
+      "--style", "infix"], "fuzz_infix.txt"),
+]
+
+# Calls that end in each exit path, run between the golden cases
+_INTERLEAVED = [
+    (["frobnicate"], 1),
+    (["--help"], 0),
+    (["sample", "--degrees", "0", "--format", "xml", "--seed", "1"], 1),
+    (["count", "--degrees", "0,0"], 2),
+    (["sample", "--degrees", "0:10000001"], 3),
+]
+_UNSEEDED = ["sample", "--degrees", "0:4,1:1,2:1,3:1", "--count", "3"]
+
+
+class TestRepeatedMain:
+    def test_every_call_behaves_like_a_fresh_one(self, capsys):
+        steps = list(zip(_GOLDEN_CASES, _INTERLEAVED * 2))
+        passes = []
+        for _ in range(2):
+            results = []
+            for (argv, _), (between, _) in steps:
+                results += [run(argv, capsys), run(between, capsys)]
+                code, out, err = run(_UNSEEDED, capsys)
+                assert code == 0 and len(out.splitlines()) == 3
+                assert re.fullmatch(r"seed=\d+\n", err), err
+                assert run([*_UNSEEDED, "--seed", err[5:-1]], capsys) == (0, out, "")
+            passes.append(results)
+        assert passes[0] == passes[1]
+        for ((_, name), (between, exit_code)), golden, other in zip(steps, passes[0][::2], passes[0][1::2]):
+            assert (golden[0], golden[2]) == (0, ""), name
+            check_golden(name, golden[1])
+            assert other[0] == exit_code, between
+
+    def test_build_parser_returns_a_new_parser(self, capsys):
+        assert cli.build_parser() is not cli.build_parser()
+        expected = (0, "charge=1 constructible=true\n", "")
+        argv = ["check", "--degrees", "0,0,2"]
+        assert run(argv, capsys) == expected
+        parser = cli.build_parser()
+        parser.set_defaults(handler=lambda args: 99)
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for sub in commands.choices.values():
+            sub.set_defaults(handler=lambda args: 99)
+        assert run(argv, capsys) == expected
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "degtree", "check", "--degrees", "0,0,2"],
@@ -465,7 +527,7 @@ from degtree.cli import main
 loaded.append("numpy" in sys.modules)
 code = main(sys.argv[1:])
 loaded.append("numpy" in sys.modules)
-print(json.dumps([code, loaded]))
+print(json.dumps([code, loaded, "secrets" in sys.modules]))
 """
 
 
@@ -487,9 +549,12 @@ print(json.dumps([code, loaded]))
         # 33 nodes draw 32 words, one batch
         (["sample", "--degrees", "0:17,2:16", "--seed", "1"], 0, True),
         (["count", "--degrees", "0:4,2:3"], 0, True),
+        # the only case that draws a seed from entropy
+        (["sample", "--degrees", "0:4,1:1,2:1,3:1"], 0, False),
     ],
     ids=["check", "enumerate", "enumerate_json", "enumerate_dot", "small_fuzz_expr",
-         "small_sample", "help", "usage_error", "infeasible", "batched_sample", "count"],
+         "small_sample", "help", "usage_error", "infeasible", "batched_sample", "count",
+         "unseeded_sample"],
 )
 def test_numpy_is_loaded_only_by_batches_and_count(argv, code, uses_numpy):
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -501,7 +566,9 @@ def test_numpy_is_loaded_only_by_batches_and_count(argv, code, uses_numpy):
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
-    assert report == [code, [False, False, uses_numpy]]
+    # secrets is loaded only to draw a seed when none is given
+    unseeded = argv[0] == "sample" and code == 0 and "--seed" not in argv
+    assert report == [code, [False, False, uses_numpy], unseeded]
 
 
 @pytest.mark.parametrize(
