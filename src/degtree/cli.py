@@ -28,7 +28,6 @@ from .errors import (
     NotConstructibleError,
 )
 from . import oracle
-from .oracle import enumerate_trees
 from .rng import RandomSource
 from .sampling import sample_tree, sample_trees
 from .stats import uniformity_report
@@ -168,6 +167,16 @@ def _prefix_line(code: Sequence[int]) -> str:
     return " ".join(map(str, code))
 
 
+def _write_trees(codes, fmt: str, multiset: DegreeMultiset) -> None:
+    # The writer for sample and enumerate: the one-pass digit writer for
+    # prefix lines with every degree below 10, else one tree at a time.
+    # The digit writer slices its input repeatedly, so it gets an iterator.
+    if fmt == "prefix" and max(multiset.counts) < 10:
+        _emit_digit_lines(iter(codes), multiset.total_nodes)
+    else:
+        _emit_trees(codes, fmt)
+
+
 def _emit_trees(codes, fmt: str) -> None:
     # Each tree is written as soon as it is rendered, so no more than one
     # rendered tree is held at once.  The table is built per call, not
@@ -211,11 +220,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     multiset = _bounded_multiset(args.degrees)
     source = _make_source(args.seed)
-    codes = sample_trees(multiset, source, args.count)
-    if args.format == "prefix" and max(multiset.counts) < 10:
-        _emit_digit_lines(codes, multiset.total_nodes)
-    else:
-        _emit_trees(codes, args.format)
+    _write_trees(sample_trees(multiset, source, args.count), args.format, multiset)
     return EXIT_OK
 
 
@@ -230,8 +235,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     total_charge = multiset.charge
     if total_charge != 1:
         raise NotConstructibleError(total_charge)
-    codes = sorted(enumerate_trees(multiset))
-    _emit_trees(codes, args.format)
+    _write_trees(oracle._ordered_codes(multiset), args.format, multiset)
     return EXIT_OK
 
 

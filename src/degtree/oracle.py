@@ -1,21 +1,25 @@
 """Exhaustive enumeration and exact counting of trees for a degree multiset.
 
-Ground truth for the sampler: enumeration extends only the prefixes that
-a tree can still complete, so it builds exactly the well-formed codes,
-while ``count_trees`` evaluates the closed form ``(n-1)! / prod(m_d!)``
-exactly, from the exponent of each prime in it (Legendre's formula) and
-a balanced product of the prime powers.  The test suite holds the two
-routes equal over a full sweep of small multisets before either is trusted.
-numpy is imported only by the exponent step, so importing this module
-does not load it.
+Ground truth for the sampler.  Enumeration rests on the charge of a
+prefix, which fixes what may come next and is itself fixed by the
+symbols still left: every prefix leaving the same multiplicities has the
+same completions.  So the codes come from one table over those states,
+each built once from the states one symbol smaller, and they come out in
+lexicographic order.  ``count_trees`` evaluates the closed form
+``(n-1)! / prod(m_d!)`` exactly, from the exponent of each prime in it
+(Legendre's formula) and a balanced product of the prime powers.  The
+test suite holds the two routes equal over a full sweep of small
+multisets before either is trusted.  numpy is imported only by the
+exponent step, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import decimal
+from itertools import compress, repeat
 from math import factorial, isqrt
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 # unused here; bench test_names_rebound_by_import_are_traced wraps oracle.is_well_formed
 from .degrees import DegreeMultiset, is_well_formed
@@ -24,9 +28,10 @@ from .errors import EnumerationTooLargeError, NotConstructibleError
 if TYPE_CHECKING:
     import numpy as np
 
-#: Node-count ceiling for exhaustive enumeration.  The walk visits O(n)
-#: prefixes per tree, so the bound caps the size of the result: no 10-node
-#: multiset has more than 756 trees (``{0: 5, 1: 2, 2: 2, 3: 1}``).
+#: Node-count ceiling for exhaustive enumeration.  Time and memory are
+#: linear in the table's states and the result, so the bound caps the
+#: size of the result: no 10-node multiset has more than 756 trees
+#: (``{0: 5, 1: 2, 2: 2, 3: 1}``).
 DEFAULT_ENUMERATION_BOUND = 10
 
 
@@ -35,43 +40,64 @@ def enumerate_trees(
 ) -> set[tuple[int, ...]]:
     """The set of ALL distinct well-formed codes over ``multiset``.
 
-    The walk visits O(n) prefixes per tree, but the result holds every
-    tree, so the node count is guarded by ``bound``.  A
-    non-constructible multiset yields the empty set.
+    The codes come from one table over the states, the multiplicities
+    still left: at most ``prod(m_d + 1)`` of them, each built once.  Time
+    is linear in the states times the distinct degrees plus the result;
+    on spaces of many trees the peak memory is about two to three times
+    the result's.  The result holds every tree, so the node count is
+    guarded by ``bound``.  A non-constructible multiset yields the empty
+    set.
 
     Raises:
         EnumerationTooLargeError: if ``multiset.total_nodes > bound``.
     """
+    return set(_ordered_codes(multiset, bound))
+
+
+def _ordered_codes(
+    multiset: DegreeMultiset, bound: int = DEFAULT_ENUMERATION_BOUND
+) -> list[tuple[int, ...]]:
+    # The codes of enumerate_trees in lexicographic order.  A state is an
+    # index whose mixed-radix digits are the multiplicities still left,
+    # and its prefix charge, 1 - sum((1 - d) * left_d), fixes what may
+    # come next: degree d, if one is left and the state after it has
+    # charge <= 0 or is empty (the last symbol).  Each state's row of
+    # completions is built once, from the states one symbol smaller, with
+    # degrees in ascending order, so every row is sorted.  A completion
+    # is a degree and the index of the rest, which the smaller state's
+    # row holds, so nothing is copied until each code is unrolled at the
+    # root, and no object is made per completion.
     if multiset.total_nodes > bound:
         raise EnumerationTooLargeError(multiset.total_nodes, bound)
     if multiset.charge != 1:
-        return set()
-    return set(_well_formed_codes(multiset.counts))
-
-
-def _well_formed_codes(counts: dict[int, int]) -> Iterator[tuple[int, ...]]:
-    # Depth first over the code prefixes of a charge-1 multiset.  A prefix
-    # of charge <= 0 can always be completed (largest degrees first, leaves
-    # last), so every branch ends in a tree.  One degree iterator per depth
-    # stands in for recursion, which a long unary chain would overflow.
-    left = dict(counts)
-    last = sum(counts.values()) - 1
-    code: list[int] = []
-    stack = [(iter(counts), 0)]  # candidate degrees, and the charge so far
-    while stack:
-        degrees, charge = stack[-1]
-        for degree in degrees:
-            if left[degree] and (charge + 1 - degree <= 0 or len(code) == last):
-                left[degree] -= 1
-                code.append(degree)
-                if len(code) > last:
-                    yield tuple(code)
-                stack.append((iter(counts), charge + 1 - degree))
-                break
-        else:
-            stack.pop()
-            if code:
-                left[code.pop()] += 1
+        return []
+    steps, charges, size = [], [1], 1
+    for degree, multiplicity in multiset.counts.items():
+        # this degree's digit of a state is state % span // stride
+        steps.append((degree, size, size * (multiplicity + 1)))
+        charges = [c + k * (degree - 1) for k in range(multiplicity + 1) for c in charges]
+        size *= multiplicity + 1
+    enterable = [charge <= 0 for charge in charges]
+    enterable[0] = True
+    # completion i is heads[i] followed by completion tails[i]; 0 is empty
+    heads, tails = [None], [None]
+    rows = [range(1)] + [None] * (size - 1)
+    for state in compress(range(1, size), enterable[1:]):
+        start = len(heads)
+        for degree, stride, span in steps:
+            if state % span >= stride and enterable[state - stride]:
+                row = rows[state - stride]
+                heads += repeat(degree, len(row))
+                tails += row
+        rows[state] = range(start, len(heads))
+    codes = []
+    for i in rows[-1]:
+        code = []
+        while i:
+            code.append(heads[i])
+            i = tails[i]
+        codes.append(tuple(code))
+    return codes
 
 
 def count_trees(multiset: DegreeMultiset) -> int:
@@ -83,6 +109,10 @@ def count_trees(multiset: DegreeMultiset) -> int:
     the product of ``p**e`` over the primes p below n, with e from
     Legendre's formula, multiplied in a balanced tree so that large
     counts cost quasi-linear time in their length.
+
+    Unlike ``enumerate_trees`` it takes no node bound, and its prime
+    sieve takes n bytes; the ``count`` command refuses more than 1e7
+    nodes.
 
     Raises:
         NotConstructibleError: if the multiset charge differs from 1.

@@ -285,3 +285,25 @@ def test_criterion_11_linear_time_counting(capsys):
         f"nodes, {median_large * 1000:.0f}ms at 8e5 "
         f"(ratio {median_large / median_small:.2f}x)"
     )
+
+
+def test_criterion_12_linear_time_enumeration():
+    # a unary chain is one tree as deep as it is long: 3e3 and 1.2e4 nodes
+    chains = {n: DegreeMultiset({0: 1, 1: n - 1}) for n in (3000, 12000)}
+    enumerate_trees(chains[3000], bound=3000)  # warm-up
+    times = {n: [] for n in chains}
+    for _ in range(5):
+        # sizes alternate so that drifts in machine speed hit both alike
+        for n, chain in chains.items():
+            begin = time.perf_counter()
+            trees = enumerate_trees(chain, bound=n)
+            times[n].append(time.perf_counter() - begin)
+            assert trees == {(1,) * (n - 1) + (0,)}
+    median_small = statistics.median(times[3000])
+    median_large = statistics.median(times[12000])
+    assert median_large <= 6 * median_small, (median_small, median_large)
+    print(
+        f"PASS criterion 12: enumeration median {median_small * 1000:.1f}ms at "
+        f"3e3 nodes, {median_large * 1000:.1f}ms at 1.2e4 "
+        f"(ratio {median_large / median_small:.2f}x)"
+    )

@@ -12,7 +12,7 @@ import pytest
 
 from degtree import cli
 from degtree.cli import main, parse_degree_spec
-from degtree import DegreeMultiset, RandomSource, sample_trees
+from degtree import DegreeMultiset, RandomSource, enumerate_trees, sample_trees
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ALPHABET = str(Path(__file__).parent / "data" / "alphabet.json")
@@ -304,6 +304,14 @@ class TestEnumerate:
         )
         assert code == 0
         check_golden("enumerate_sexpr.txt", out)
+
+    @pytest.mark.parametrize("spec", ["0", "0,1", "0:4,1:1,2:1,3:1", "0:9,9:1"])
+    def test_prefix_lines_equal_the_library_trees(self, capsys, spec):
+        # every degree is below 10, so these take sample's digit writer
+        code, out, err = run(["enumerate", "--degrees", spec], capsys)
+        trees = sorted(enumerate_trees(parse_degree_spec(spec)))
+        assert (code, err) == (0, "")
+        assert out.split("\n") == [" ".join(map(str, tree)) for tree in trees] + [""]
 
     def test_infeasible(self, capsys):
         code, _, err = run(["enumerate", "--degrees", "0:2,2:2"], capsys)

@@ -23,8 +23,10 @@ from degtree import (
     count_trees,
     enumerate_trees,
     is_constructible,
+    is_well_formed,
 )
 from degtree.cli import main
+from degtree.oracle import _ordered_codes
 
 
 class TestEnumerateTrees:
@@ -57,6 +59,23 @@ class TestEnumerateTrees:
     def test_long_unary_chain_does_not_recurse(self):
         chain = DegreeMultiset({0: 1, 1: 3000})
         assert enumerate_trees(chain, bound=3001) == {(1,) * 3000 + (0,)}
+
+    def test_every_space_of_ten_nodes_in_order(self):
+        # every degree a tree of at most 10 nodes can have
+        for multiset in constructible_multisets(10, 9):
+            codes = _ordered_codes(multiset)
+            assert all(a < b for a, b in zip(codes, codes[1:])), multiset
+            for code in codes:
+                assert is_well_formed(code), (multiset, code)
+                assert DegreeMultiset.from_degrees(code) == multiset, (multiset, code)
+            assert len(codes) == count_trees(multiset), multiset
+
+    def test_broom_past_the_bound(self):
+        # the unary nodes split above the binary one and in its two subtrees
+        broom = DegreeMultiset({0: 2, 1: 60, 2: 1})
+        codes = enumerate_trees(broom, bound=63)
+        assert len(codes) == 1891 == count_trees(broom)
+        assert all(is_well_formed(code) for code in codes)
 
     def test_size_bound(self):
         eleven = DegreeMultiset({0: 6, 2: 5})
