@@ -111,19 +111,22 @@ def load_alphabet(path: str) -> OperatorAlphabet:
     """Load a JSON file mapping arity (string key) to a list of symbols."""
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            # objects as tuples of pairs, so a repeated key is kept, not dropped
+            raw = json.load(handle, object_pairs_hook=tuple)
     except OSError as exc:
         raise AlphabetError(f"cannot read alphabet file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise AlphabetError(f"alphabet file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
+    if not isinstance(raw, tuple):
         raise AlphabetError(f"alphabet file {path!r} must hold a JSON object")
     table: dict[int, list[str]] = {}
-    for key, value in raw.items():
+    for key, value in raw:
         try:
             arity = int(key)
         except ValueError:
             raise AlphabetError(f"alphabet arity key {key!r} is not an integer") from None
+        if arity in table:  # "2" twice, or "0" and "00", " 0 " or "-0"
+            raise AlphabetError(f"alphabet file {path!r} gives arity {arity} more than once")
         if not isinstance(value, list):
             raise AlphabetError(f"alphabet entry for arity {key} must be a list")
         table[arity] = value

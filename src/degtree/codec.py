@@ -15,7 +15,7 @@ from operator import add, getitem, index, mul, ne
 from typing import Mapping, Sequence
 
 from .errors import MissingArityError, TrailingSymbolsError, TruncatedCodeError
-from .rng import _bounded_draws
+from .rng import _draw_rows
 
 
 @dataclass
@@ -183,7 +183,9 @@ def render_expression(
 ) -> str:
     """Render the tree of ``code`` as an expression, drawing each symbol uniformly.
 
-    Symbols are assigned in preorder via ``source.next_below``; the source
+    Symbols are assigned in preorder via ``source.next_below``; a
+    :class:`RandomSource` draws them in one batch of the same words, by
+    the draw kernel in ``rng`` that also draws the shuffles.  The source
     must not be one that is mid-way through producing the tree itself,
     otherwise labelling would correlate with shape.  Styles:
 
@@ -202,7 +204,8 @@ def render_expression(
     parents, closed = _structure(code)
     for arity in sorted(set(code)):
         alphabet.symbols_for(arity)
-    draws = _bounded_draws(source, list(map(len, map(alphabet._table.__getitem__, code))))
+    sizes = list(map(len, map(alphabet._table.__getitem__, code)))
+    draws = list(next(_draw_rows(source, sizes, 1)))  # a list: infix reads it twice
 
     def pick(table):  # the entry each node drew from its arity's row
         return map(getitem, map(table.__getitem__, code), draws)

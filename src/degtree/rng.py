@@ -5,10 +5,11 @@ The generator is splitmix64 run in counter mode: word ``i`` of a stream is
 64-bit words, so ``next_below`` is exactly uniform for every bound.
 Counter mode makes batching trivial: a vectorised batch yields
 bit-identical words to repeated scalar calls, and a consumed batch can be
-undone by rewinding the counter.  The words of shuffle ``r`` in a run of
-shuffles are known without drawing shuffles ``0..r-1``, so the draws of
-many shuffles come from one batch whose rows match the ``next_below``
-chain word for word.
+undone by rewinding the counter.  The words of row ``r`` in a run of
+rows are known without drawing rows ``0..r-1``, so one kernel draws the
+bounded values of a run of rows, the shuffles of many trees or the
+labels of one expression, from one batch whose rows match the
+``next_below`` chain word for word.
 
 The generator is hand-rolled rather than borrowed from ``random.Random``
 so that seeded streams are stable across interpreter versions; the golden
@@ -120,62 +121,45 @@ class RandomSource:
         self._count -= n
 
 
-def _rejects(words: np.ndarray, bounds: np.ndarray, top: int) -> bool:
-    # Whether next_below would reject any of ``words``, drawn below the
-    # matching ``bounds`` (broadcast), each at most ``top``.  next_below(b)
-    # takes words below 2**64 - 2**64 % b, i.e. up to ~(2**64 % b).  For
-    # b <= top that limit is above 2**64 - top, so one max() clears nearly
-    # every batch without the exact test and its batch-sized temporaries.
-    import numpy as np
-
-    return bool(words.max() > np.uint64(_WORD_SPAN - top)) and bool(
-        (words > ~((np.uint64(0) - bounds) % bounds)).any()
-    )
-
-
-def _bounded_draws(source, bounds: list[int]) -> list[int]:
-    # [source.next_below(b) for b in bounds], leaving source at the same
-    # word.  A RandomSource draws _BATCH_WORDS or more of them as one
-    # next_words batch; a batch with a word that next_below would reject is
-    # rewound and drawn by next_below, as in _shuffle_draws.
-    if len(bounds) >= _BATCH_WORDS and isinstance(source, RandomSource):
-        import numpy as np
-
-        words = source.next_words(len(bounds))
-        limits = np.array(bounds, dtype=np.uint64)
-        if not _rejects(words, limits, max(bounds)):
-            words %= limits
-            return words.tolist()
-        source.rewind(len(bounds))
-    return [source.next_below(b) for b in bounds]
-
-
-def _shuffle_draws(source, n: int, rows: int):
-    # Yield the draws of ``rows`` successive n-item Fisher-Yates shuffles,
-    # one iterable per shuffle in next_below's order (bounds n down to 2),
-    # each to be used up before the next is taken.  A RandomSource draws a
-    # chunk of rows (at most _CHUNK_WORDS words, or one longer row) with one
-    # next_words batch once the chunk holds _BATCH_WORDS words, and yields
-    # each row as a memoryview: its items become Python ints one at a time
-    # as the swap loop takes them, where a list would hold n of them at
-    # once (about 36 MB at 1e6 nodes).  A batch with a word that
-    # next_below would reject (probability < n**2 / 2**64 per row) is
-    # rewound, and its rows come from next_below like any other source's,
-    # so every path consumes the identical stream.
-    per_chunk = max(1, _CHUNK_WORDS // max(1, n - 1))
+def _draw_rows(source, bounds, rows: int):
+    # Yield ``rows`` rows of draws, each to be used up before the next is
+    # taken, with the values of [source.next_below(b) for b in bounds]: the
+    # bounds n down to 2 of a Fisher-Yates shuffle, or the symbol counts of
+    # expression labels.  A RandomSource draws a chunk of rows (at most
+    # _CHUNK_WORDS words, or one longer row) with one next_words batch once
+    # the chunk holds _BATCH_WORDS words, and yields each row as a
+    # memoryview: its items become Python ints one at a time as the caller
+    # takes them, where a list would hold them all at once (about 36 MB for
+    # a 1e6-node shuffle).  A batch with a word that next_below would reject
+    # (probability < len(bounds) * max(bounds) / 2**64 per row) is rewound,
+    # and its rows come from next_below like any other source's, so every
+    # path consumes the identical stream.
+    width = len(bounds)
+    per_chunk = max(1, _CHUNK_WORDS // max(1, width))
     for start in range(0, rows, per_chunk):
         take = min(per_chunk, rows - start)
-        size = take * (n - 1)
+        size = take * width
         if size >= _BATCH_WORDS and isinstance(source, RandomSource):
             import numpy as np
 
-            words = source.next_words(size).reshape(take, n - 1)
-            bounds = np.arange(n, 1, -1, dtype=np.uint64)
-            if not _rejects(words, bounds, n):
-                words %= bounds
-                del bounds  # not held while the rows are swapped
+            words = source.next_words(size).reshape(take, width)
+            if isinstance(bounds, range):
+                limits = np.arange(bounds.start, bounds.stop, bounds.step, dtype=np.uint64)
+            else:
+                limits = np.array(bounds, dtype=np.uint64)
+            # next_below(b) takes words below 2**64 - 2**64 % b, i.e. up to
+            # ~(2**64 % b).  For b <= top that limit is above 2**64 - top, so
+            # one max() clears nearly every batch without the exact test and
+            # its batch-sized temporaries.
+            top = int(limits.max())
+            if not (
+                words.max() > np.uint64(_WORD_SPAN - top)
+                and (words > ~((np.uint64(0) - limits) % limits)).any()
+            ):
+                words %= limits
+                del limits  # not held while the rows are used
                 yield from map(memoryview, words)
                 continue
             source.rewind(size)
         for _ in range(take):
-            yield (source.next_below(b) for b in range(n, 1, -1))
+            yield (source.next_below(b) for b in bounds)

@@ -8,11 +8,12 @@ hit by equally many shuffles, so the output is uniform over all trees
 satisfying the multiset.  Each stage is linear in the node count.
 
 Each stage has one kernel.  The shuffle's single swap loop takes its
-draws from ``rng``, which computes them from ``next_below`` or from one
-numpy batch over the identical word stream, for one shuffle or for a run
-of them.  Fisher-Yates fixes positions back to front, so the same loop
-also finds the rotation point: the first position where the suffix
-charge is lowest is where the prefix charge first peaks.
+draws from ``rng._draw_rows``, the draw kernel that expression labels
+use too, which computes them from ``next_below`` or from one numpy batch
+over the identical word stream, for one shuffle or for a run of them.
+Fisher-Yates fixes positions back to front, so the same loop also finds
+the rotation point: the first position where the suffix charge is
+lowest is where the prefix charge first peaks.
 
 Indexing: the rotation point ``k`` returned by ``find_rotation_point`` is
 both the 1-based position of the last symbol of the complete-expression
@@ -26,7 +27,7 @@ from typing import Iterator, Sequence
 
 from .degrees import DegreeMultiset, _charge_peak
 from .errors import NotConstructibleError
-from .rng import _shuffle_draws
+from .rng import _draw_rows
 
 
 def fisher_yates_shuffle(degrees: Sequence[int], source) -> list[int]:
@@ -39,7 +40,7 @@ def fisher_yates_shuffle(degrees: Sequence[int], source) -> list[int]:
     batch over the identical word stream once there are enough of them.
     The items must be numbers, since the swap loop sums their charges.
     """
-    return _swapped(degrees, next(_shuffle_draws(source, len(degrees), 1)))[0]
+    return _swapped(degrees, next(_draw_rows(source, range(len(degrees), 1, -1), 1)))[0]
 
 
 def _swapped(degrees: Sequence[int], draws) -> tuple[list[int], int]:
@@ -137,7 +138,7 @@ def sample_trees(multiset: DegreeMultiset, source, count: int) -> Iterator[list[
 
 def _trees(multiset: DegreeMultiset, source, count: int) -> Iterator[list[int]]:
     sequence = multiset.to_sequence()
-    for draws in _shuffle_draws(source, len(sequence), count):
+    for draws in _draw_rows(source, range(len(sequence), 1, -1), count):
         shuffled, k = _swapped(sequence, draws)
         tree = shuffled[k:] + shuffled[:k]
         del shuffled, draws  # not held while the caller has the tree

@@ -415,6 +415,36 @@ class TestFuzzExpr:
         assert code == 1
         assert "JSON" in err
 
+    @pytest.mark.parametrize(
+        "text, arity",
+        [
+            ('{"0": ["x"], "00": ["y"], "2": ["+"]}', 0),
+            ('{"0": ["x"], "0": ["y"], "2": ["+"]}', 0),
+            ('{"0": ["x"], "-0": ["y"], "2": ["+"]}', 0),
+            ('{"0": ["x"], " 2 ": ["*"], "2": ["+"]}', 2),
+        ],
+    )
+    def test_arity_given_twice(self, capsys, tmp_path, text, arity):
+        # the later entry used to replace the earlier one without a word
+        twice = tmp_path / "twice.json"
+        twice.write_text(text)
+        code, out, err = run(
+            ["fuzz-expr", "--degrees", "0,0,2", "--alphabet", str(twice), "--seed", "1"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert f"arity {arity} more than once" in err
+
+    def test_alphabet_must_be_an_object(self, capsys, tmp_path):
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text('[["0", ["x"]], ["2", ["+"]]]')
+        code, _, err = run(
+            ["fuzz-expr", "--degrees", "0,0,2", "--alphabet", str(pairs), "--seed", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert "JSON object" in err
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

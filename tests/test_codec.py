@@ -24,6 +24,7 @@ from degtree import (
     to_json,
     to_sexpr,
 )
+from degtree import rng
 from degtree.rng import _GOLDEN
 
 
@@ -394,6 +395,17 @@ class TestBatchedLabels:
         assert fast.words_consumed == slow._source.words_consumed == len(self.CODE) + 1
         assert (fast.batches, fast.rewinds) == ([len(self.CODE)], 1)
         assert fast.next_word() == slow._source.next_word()
+
+    @pytest.mark.parametrize("chunk", [50, 16])
+    @pytest.mark.parametrize("style", ["prefix", "infix"])
+    def test_chunk_size_keeps_one_batch(self, style, chunk, monkeypatch):
+        # the 33 labels are one row: a chunk of 16 words still draws it whole
+        monkeypatch.setattr(rng, "_CHUNK_WORDS", chunk)
+        fast, slow = RecordingSource(2024), ScalarOnly(2024)
+        rendered = render_expression(self.CODE, self.FIVE, fast, style)
+        assert rendered == render_expression(self.CODE, self.FIVE, slow, style)
+        assert fast.words_consumed == slow._source.words_consumed == len(self.CODE)
+        assert (fast.batches, fast.rewinds) == ([len(self.CODE)], 0)
 
 
 class TestOperatorAlphabet:

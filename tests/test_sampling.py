@@ -1,4 +1,6 @@
 import itertools
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -340,6 +342,46 @@ class TestSampleTrees:
             range(size), slow
         )
         assert fast.words_consumed == slow._source.words_consumed
+
+
+class TestPrefixLawPastEnumeration:
+    # Raney's lemma gives the exact law of the next symbol of a uniform tree:
+    # with k subtrees open and r > 1 symbols left, counted by c, it is d with
+    # probability (k - 1 + d) * c[d] / (k * (r - 1)).  At the root (k = 1,
+    # r = n) that is d * m[d] / (n - 1).  The multiset, tree count, seed and
+    # alpha were fixed before the first run.
+    MULTISET = {0: 651, 1: 500, 2: 300, 3: 100, 4: 50}  # 1601 nodes
+    TREES = 3000
+    # 0.999 quantile of chi-square with 18 degrees of freedom (scipy: 42.312)
+    CHI_SQUARE_999_DF18 = 42.31
+
+    def law(self):
+        # exact probability of each possible (root, second symbol) pair
+        n = sum(self.MULTISET.values())
+        cells = {}
+        for k, m in self.MULTISET.items():
+            if not k:
+                continue  # a leaf is no root of a tree with more nodes
+            root = Fraction(k * m, n - 1)
+            for e, c in {**self.MULTISET, k: m - 1}.items():
+                second = Fraction((k - 1 + e) * c, k * (n - 2))
+                if second:
+                    cells[k, e] = root * second
+        return cells
+
+    def test_first_two_symbols_follow_the_exact_law(self):
+        law = self.law()
+        assert sum(law.values()) == 1 and len(law) == 19
+        expected = {cell: self.TREES * p for cell, p in law.items()}
+        assert min(expected.values()) >= 20
+        source = RecordingSource(1)
+        trees = sample_trees(DegreeMultiset(self.MULTISET), source, self.TREES)
+        observed = Counter(tuple(tree[:2]) for tree in trees)
+        # drawn by the batch branch, 40 trees of 1600 draws per chunk
+        assert source.batches[0] == 40 * 1600 and source.rewinds == 0
+        assert set(observed) <= set(law)
+        chi_square = sum((observed[cell] - e) ** 2 / e for cell, e in expected.items())
+        assert chi_square < self.CHI_SQUARE_999_DF18, observed
 
 
 def test_brute_force_agreement_spot_check(charge_one_family):
