@@ -26,6 +26,7 @@ from .errors import (
     EnumerationTooLargeError,
     MissingArityError,
     NotConstructibleError,
+    _int_text,
 )
 from . import oracle
 from .rng import RandomSource
@@ -102,9 +103,14 @@ def parse_degree_spec(text: str) -> DegreeMultiset:
 
 def _parse_int(piece: str, spec: str) -> int:
     try:
-        return int(piece.strip())
+        return int(piece)
     except ValueError:
-        raise DegreeSpecError(f"non-integer entry {piece!r} in degree spec {spec!r}") from None
+        # int() refuses more digits than this limit (Python 3.11 and later)
+        digits = piece.strip().lstrip("+-").replace("_", "")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits.isdecimal() and 0 < limit < len(digits):
+        raise DegreeSpecError(f"{len(digits)}-digit entry in degree spec exceeds Python's {limit}-digit limit")
+    raise DegreeSpecError(f"non-integer entry {piece!r} in degree spec {spec!r}")
 
 
 def load_alphabet(path: str) -> OperatorAlphabet:
@@ -161,7 +167,7 @@ def _bounded_multiset(text: str) -> DegreeMultiset:
     multiset = parse_degree_spec(text)
     if multiset.total_nodes > _MAX_NODES:
         raise _TooManyNodesError(
-            f"{multiset.total_nodes} nodes exceeds the node bound of {_MAX_NODES}"
+            f"{_int_text(multiset.total_nodes)} nodes exceeds the node bound of {_MAX_NODES}"
         )
     return multiset
 
@@ -216,7 +222,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     multiset = parse_degree_spec(args.degrees)
     total_charge = multiset.charge
     constructible = total_charge == 1
-    print(f"charge={total_charge} constructible={'true' if constructible else 'false'}")
+    print(f"charge={_int_text(total_charge)} constructible={'true' if constructible else 'false'}")
     return EXIT_OK if constructible else EXIT_INFEASIBLE
 
 
@@ -235,10 +241,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     multiset = parse_degree_spec(args.degrees)
-    total_charge = multiset.charge
-    if total_charge != 1:
-        raise NotConstructibleError(total_charge)
-    _write_trees(oracle._ordered_codes(multiset), args.format, multiset)
+    # enumerate_trees gives [] here, after its size check; this exits 2 first
+    if multiset.charge != 1:
+        raise NotConstructibleError(multiset.charge)
+    _write_trees(oracle.enumerate_trees(multiset), args.format, multiset)
     return EXIT_OK
 
 

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+import decimal
+
+
+def _int_text(n: int) -> str:
+    # str(n) without Python's int-to-str digit limit, which a charge or
+    # node count can pass when every entry of its degree spec is within it
+    return str(decimal.Decimal(n))
+
 
 class DegtreeError(Exception):
     """Base class for all errors raised by this package."""
@@ -9,7 +17,7 @@ class ChargeNotOneError(DegtreeError):
     """A degree sequence whose charge must be 1 has a different charge."""
 
     def __init__(self, charge: int):
-        super().__init__(f"degree sequence has charge {charge}, expected 1")
+        super().__init__(f"degree sequence has charge {_int_text(charge)}, expected 1")
         self.charge = charge
 
 
@@ -18,7 +26,7 @@ class NotConstructibleError(DegtreeError):
 
     def __init__(self, charge: int):
         super().__init__(
-            f"degree multiset has charge {charge}, expected 1; "
+            f"degree multiset has charge {_int_text(charge)}, expected 1; "
             "no tree uses all of its nodes"
         )
         self.charge = charge
@@ -55,7 +63,7 @@ class EnumerationTooLargeError(DegtreeError):
 
     def __init__(self, total_nodes: int, bound: int):
         super().__init__(
-            f"{total_nodes} nodes exceeds the exhaustive enumeration bound of {bound}"
+            f"{_int_text(total_nodes)} nodes exceeds the exhaustive enumeration bound of {bound}"
         )
         self.total_nodes = total_nodes
         self.bound = bound

@@ -1,11 +1,8 @@
 """Exhaustive enumeration and exact counting of trees for a degree multiset.
 
-Ground truth for the sampler.  Enumeration rests on the charge of a
-prefix, which fixes what may come next and is itself fixed by the
-symbols still left: every prefix leaving the same multiplicities has the
-same completions.  So the codes come from one table over those states,
-each built once from the states one symbol smaller, and they come out in
-lexicographic order.  ``count_trees`` evaluates the closed form
+Ground truth for the sampler.  ``enumerate_trees`` lists every code in
+lexicographic order, from one table of completions over the
+multiplicities still left.  ``count_trees`` evaluates the closed form
 ``(n-1)! / prod(m_d!)`` exactly, from the exponent of each prime in it
 (Legendre's formula) and a balanced product of the prime powers.  The
 test suite holds the two routes equal over a full sweep of small
@@ -37,36 +34,24 @@ DEFAULT_ENUMERATION_BOUND = 10
 
 def enumerate_trees(
     multiset: DegreeMultiset, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> set[tuple[int, ...]]:
-    """The set of ALL distinct well-formed codes over ``multiset``.
+) -> list[tuple[int, ...]]:
+    """Every well-formed code over ``multiset``, in strictly increasing order.
 
-    The codes come from one table over the states, the multiplicities
-    still left: at most ``prod(m_d + 1)`` of them, each built once.  Time
-    is linear in the states times the distinct degrees plus the result;
-    on spaces of many trees the peak memory is about two to three times
-    the result's.  The result holds every tree, so the node count is
-    guarded by ``bound``.  A non-constructible multiset yields the empty
-    set.
+    A state is the multiplicities still left, kept as one index whose
+    mixed-radix digits they are: at most ``prod(m_d + 1)`` states.  Its
+    charge, ``1 - sum((1 - d) * left_d)``, fixes what may come next:
+    degree d, if one is left and the state after it has charge <= 0 or is
+    empty.  Each state's row of completions is built once, in ascending
+    order, from the rows of the states one symbol smaller; a completion is
+    a degree and the index of the rest, so codes are copied out only at
+    the root.  Time is linear in the states times the distinct degrees
+    plus the result, and peak memory about two to three times the
+    result's, so ``bound`` guards the node count.  A non-constructible
+    multiset yields ``[]``.
 
     Raises:
         EnumerationTooLargeError: if ``multiset.total_nodes > bound``.
     """
-    return set(_ordered_codes(multiset, bound))
-
-
-def _ordered_codes(
-    multiset: DegreeMultiset, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> list[tuple[int, ...]]:
-    # The codes of enumerate_trees in lexicographic order.  A state is an
-    # index whose mixed-radix digits are the multiplicities still left,
-    # and its prefix charge, 1 - sum((1 - d) * left_d), fixes what may
-    # come next: degree d, if one is left and the state after it has
-    # charge <= 0 or is empty (the last symbol).  Each state's row of
-    # completions is built once, from the states one symbol smaller, with
-    # degrees in ascending order, so every row is sorted.  A completion
-    # is a degree and the index of the rest, which the smaller state's
-    # row holds, so nothing is copied until each code is unrolled at the
-    # root, and no object is made per completion.
     if multiset.total_nodes > bound:
         raise EnumerationTooLargeError(multiset.total_nodes, bound)
     if multiset.charge != 1:

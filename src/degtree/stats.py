@@ -1,4 +1,4 @@
-"""Empirical uniformity checks of the sampler against the enumerated space."""
+"""Empirical uniformity checks of the sampler over the enumerated space, in order."""
 
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ class FrequencyReport:
     """Observed tree frequencies with a chi-square summary.
 
     ``outcome_counts`` covers the whole enumerated outcome space,
-    zero-count outcomes included, and ``degrees_of_freedom`` is one less
+    zero-count outcomes included, in the lexicographic order of
+    ``enumerate_trees``, and ``degrees_of_freedom`` is one less
     than the number of outcomes.  The report carries the statistic only;
     pass/fail thresholds are the caller's policy.
     """
@@ -28,15 +29,14 @@ class FrequencyReport:
     seed: int
 
     def to_json(self) -> str:
-        """One-line JSON with outcomes sorted lexicographically."""
-        codes = sorted(self.outcome_counts)
+        """One-line JSON with outcomes in the order of ``outcome_counts``."""
         payload = {
             "seed": self.seed,
             "samples": self.total_samples,
             "chi_square": self.chi_square,
             "degrees_of_freedom": self.degrees_of_freedom,
-            "outcomes": [list(code) for code in codes],
-            "counts": [self.outcome_counts[code] for code in codes],
+            "outcomes": list(self.outcome_counts),
+            "counts": list(self.outcome_counts.values()),
         }
         return json.dumps(payload)
 
@@ -63,7 +63,7 @@ def uniformity_report(
         raise ValueError(f"samples must be positive, got {samples}")
     # sample_trees checks the charge, drawing nothing, before the size check
     trees = sample_trees(multiset, source, samples)
-    counts = {code: 0 for code in sorted(enumerate_trees(multiset))}
+    counts = dict.fromkeys(enumerate_trees(multiset), 0)
     for code in map(tuple, trees):
         if code not in counts:
             raise RuntimeError(f"sampled code {code} outside the enumerated space")

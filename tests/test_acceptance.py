@@ -92,7 +92,7 @@ def test_criterion_3_derandomized_uniformity(labeled_ordering_sweep):
         copies = n
         for multiplicity in multiset.counts.values():
             copies *= factorial(multiplicity)
-        assert set(outcome_counts) == enumerate_trees(multiset), multiset
+        assert sorted(outcome_counts) == enumerate_trees(multiset), multiset
         assert all(count == copies for count in outcome_counts.values()), multiset
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -149,7 +149,7 @@ def test_criterion_7_statistical_uniformity():
     chi_squares = []
     for seed in (1, 2, 3, 4, 5):
         report = uniformity_report(MIXED_MULTISET, 30000, RandomSource(seed))
-        assert set(report.outcome_counts) == outcomes
+        assert list(report.outcome_counts) == outcomes
         assert sum(report.outcome_counts.values()) == 30000
         assert report.degrees_of_freedom == 29
         chi_squares.append(report.chi_square)
@@ -298,7 +298,7 @@ def test_criterion_12_linear_time_enumeration():
             begin = time.perf_counter()
             trees = enumerate_trees(chain, bound=n)
             times[n].append(time.perf_counter() - begin)
-            assert trees == {(1,) * (n - 1) + (0,)}
+            assert trees == [(1,) * (n - 1) + (0,)]
     median_small = statistics.median(times[3000])
     median_large = statistics.median(times[12000])
     assert median_large <= 6 * median_small, (median_small, median_large)

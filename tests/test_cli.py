@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -284,6 +285,56 @@ class TestCount:
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+# D = 4000 nines: every entry of D:D is within Python's 4300-digit limit
+# on int <-> str conversion, but the charge D - D*D has 8000 digits
+_NINES = "9" * 4000
+# (10**4000 - 1) * (10**4000 - 2), written out by hand
+_NINES_CHARGE = "-" + "9" * 3999 + "7" + "0" * 3999 + "2"
+# 10**4300 leaves and 10**4300 - 1 binary nodes: a tree of 4301-digit size
+_HUGE_TREE = f"0:{'9' * 4300},0:1,2:{'9' * 4300}"
+
+
+class TestIntStringLimit:
+    def test_check_prints_every_digit_of_the_charge(self, capsys):
+        code, out, err = run(["check", "--degrees", f"{_NINES}:{_NINES}"], capsys)
+        assert (code, err) == (2, "")
+        assert out == f"charge={_NINES_CHARGE} constructible=false\n"
+        assert len(_NINES_CHARGE) == 8001
+
+    def test_enumerate_infeasible(self, capsys):
+        code, out, err = run(["enumerate", "--degrees", f"{_NINES}:{_NINES}"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"degtree: error: degree multiset has charge {_NINES_CHARGE}, expected 1; "
+            "no tree uses all of its nodes\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [(["enumerate"], "exhaustive enumeration bound of 10"),
+         (["sample", "--seed", "1"], f"node bound of {cli._MAX_NODES}")],
+        ids=["enumerate", "sample"],
+    )
+    def test_node_counts_past_the_limit(self, capsys, argv, bound):
+        code, out, err = run([argv[0], "--degrees", _HUGE_TREE, *argv[1:]], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"degtree: error: 1{'9' * 4299}9 nodes exceeds the {bound}\n"
+
+    def test_entry_past_the_limit_is_named(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python has no int-to-str digit limit")
+        digits = limit + 100
+        code, out, err = run(["check", "--degrees", f"0:{'9' * digits}"], capsys)
+        assert (code, out) == (1, "")
+        assert f"{digits}-digit entry" in err
+        assert f"Python's {limit}-digit limit" in err
+        # a non-integer entry stays one, however long
+        code, _, err = run(["check", "--degrees", f"0:{'9' * digits}x"], capsys)
+        assert code == 1
+        assert "non-integer entry" in err
+
+
 class TestEnumerate:
     def test_sorted_output(self, capsys):
         code, out, _ = run(["enumerate", "--degrees", "0:3,2:2"], capsys)
@@ -309,7 +360,7 @@ class TestEnumerate:
     def test_prefix_lines_equal_the_library_trees(self, capsys, spec):
         # every degree is below 10, so these take sample's digit writer
         code, out, err = run(["enumerate", "--degrees", spec], capsys)
-        trees = sorted(enumerate_trees(parse_degree_spec(spec)))
+        trees = enumerate_trees(parse_degree_spec(spec))
         assert (code, err) == (0, "")
         assert out.split("\n") == [" ".join(map(str, tree)) for tree in trees] + [""]
 
@@ -503,6 +554,33 @@ _GOLDEN_CASES = [
     (["fuzz-expr", "--degrees", "0:4,1:1,2:1,3:1", "--alphabet", ALPHABET, "--seed", "3", "--count", "5",
       "--style", "infix"], "fuzz_infix.txt"),
 ]
+
+# md5s of outputs too long for golden files, also checked against the
+# installed console script in .github/workflows/tests.yml
+_PINNED_MD5 = [
+    (["sample", "--degrees", "0:2,2:1", "--seed", "5", "--count", "300000"],
+     "5f6aca0d5ba595b2a26ab67a99a46d6c"),
+    # the largest 10-node space, 756 trees
+    (["enumerate", "--degrees", "0:5,1:2,2:2,3:1"], "b9009aaf6ab8b5a99040ec184a701510"),
+    (["enumerate", "--degrees", "0:5,1:2,2:2,3:1", "--format", "json"],
+     "b3713d41189caa742dd3374407bc94e0"),
+    # expression labels: 1001-node trees draw theirs in one batch, 7-node trees by next_below
+    (["fuzz-expr", "--degrees", "0:501,2:500", "--alphabet", ALPHABET, "--seed", "1",
+      "--count", "20", "--style", "infix"], "ffdae434e62335cef515195f77f4b724"),
+    (["fuzz-expr", "--degrees", "0:4,1:1,2:1,3:1", "--alphabet", ALPHABET, "--seed", "3",
+      "--count", "2000"], "a68809cedfb6b2e64c976e82934f22ee"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, md5", _PINNED_MD5,
+    ids=["sample_300000", "enumerate_756", "enumerate_756_json", "fuzz_batched", "fuzz_scalar"],
+)
+def test_pinned_output_md5(capsys, argv, md5):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
 
 # Calls that end in each exit path, run between the golden cases
 _INTERLEAVED = [
