@@ -16,10 +16,9 @@ import functools
 import json
 import os
 import sys
-from itertools import islice
 from typing import Sequence
 
-from .codec import OperatorAlphabet, render_expression, to_dot, to_json, to_sexpr
+from .codec import OperatorAlphabet, _blocks, _forests, render_expression
 from .degrees import DegreeMultiset
 from .errors import (
     ChargeNotOneError,
@@ -45,11 +44,6 @@ _FORMATS = ("prefix", "sexpr", "dot", "json")
 # larger specs would only fail with a MemoryError, after a long allocation
 # or none.
 _MAX_NODES = 10_000_000
-
-# Byte d of a code with every degree below 10 becomes the ASCII digit d.
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-# About this many digits per write of the prefix digit writer.
-_WRITE_DIGITS = 1 << 18
 
 
 class DegreeSpecError(ValueError):
@@ -172,50 +166,14 @@ def _bounded_multiset(text: str) -> DegreeMultiset:
     return multiset
 
 
-def _prefix_line(code: Sequence[int]) -> str:
-    return " ".join(map(str, code))
-
-
 def _write_trees(codes, fmt: str, multiset: DegreeMultiset) -> None:
-    # The writer for sample and enumerate: the one-pass digit writer for
-    # prefix lines with every degree below 10, else one tree at a time.
-    # The digit writer slices its input repeatedly, so it gets an iterator.
+    # The writer for sample and enumerate: each block of text is written as
+    # soon as the block writer has built it.
     if fmt == "prefix" and max(multiset.counts) < 10:
-        _emit_digit_lines(iter(codes), multiset.total_nodes)
-    else:
-        _emit_trees(codes, fmt)
-
-
-def _emit_trees(codes, fmt: str) -> None:
-    # Each tree is written as soon as it is rendered, so no more than one
-    # rendered tree is held at once.  The table is built per call, not
-    # with the parser, so wrappers later set on these module names apply.
-    render = {"prefix": _prefix_line, "sexpr": to_sexpr, "json": to_json, "dot": to_dot}[fmt]
-    write = sys.stdout.write
-    for i, code in enumerate(codes):
-        if fmt == "dot":
-            # dot records are multi-line and end in a newline; a blank line
-            # separates them
-            if i:
-                write("\n")
-            write(render(code))
-        else:
-            write(render(code))
-            write("\n")
-
-
-def _emit_digit_lines(codes, n: int) -> None:
-    # The prefix lines of n-node codes whose degrees are all below 10, one
-    # pass per block of codes (a pass per code doubled the time of 3e5
-    # three-node trees) with no str per symbol: each line is n digits with
-    # a space after each but the last, so the digits fill the even bytes
-    # and a newline ends every 2n bytes.
-    while block := bytearray().join(map(bytearray, islice(codes, 1 + _WRITE_DIGITS // n))):
-        out = bytearray(b" ") * (2 * len(block))
-        out[::2] = block.translate(_DIGITS)
-        out[2 * n - 1 :: 2 * n] = b"\n" * (len(block) // n)
-        # str, not bytes: sys.stdout may be any text stream
-        sys.stdout.write(out.decode("ascii"))
+        fmt = "digits"
+    write, size = sys.stdout.write, multiset.total_nodes
+    for text in _blocks(_forests(iter(codes), size, fmt), size, fmt):
+        write(text)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

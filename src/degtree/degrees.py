@@ -17,7 +17,7 @@ from itertools import accumulate
 from operator import index
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ChargeNotOneError
+from .errors import ChargeNotOneError, _int_text
 
 
 class DegreeMultiset:
@@ -85,7 +85,7 @@ class DegreeMultiset:
         return hash(tuple(self._counts.items()))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{d}: {m}" for d, m in self._counts.items())
+        inner = ", ".join(f"{_int_text(d)}: {_int_text(m)}" for d, m in self._counts.items())
         return f"DegreeMultiset({{{inner}}})"
 
 

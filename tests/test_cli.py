@@ -557,6 +557,7 @@ _GOLDEN_CASES = [
 
 # md5s of outputs too long for golden files, also checked against the
 # installed console script in .github/workflows/tests.yml
+_BIG_TREE = "0:120001,1:90000,2:60000,3:30000"
 _PINNED_MD5 = [
     (["sample", "--degrees", "0:2,2:1", "--seed", "5", "--count", "300000"],
      "5f6aca0d5ba595b2a26ab67a99a46d6c"),
@@ -569,12 +570,33 @@ _PINNED_MD5 = [
       "--count", "20", "--style", "infix"], "ffdae434e62335cef515195f77f4b724"),
     (["fuzz-expr", "--degrees", "0:4,1:1,2:1,3:1", "--alphabet", ALPHABET, "--seed", "3",
       "--count", "2000"], "a68809cedfb6b2e64c976e82934f22ee"),
+    # the block writer: forests of small trees, whose blocks end mid-stream
+    (["enumerate", "--degrees", "0:5,1:2,2:2,3:1", "--format", "sexpr"],
+     "0a2c58d00b953e64717414199d8d1104"),
+    (["enumerate", "--degrees", "0:5,1:2,2:2,3:1", "--format", "dot"],
+     "f506549f5fdc50e7c5c75c9cfa42c5a9"),
+    (["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "9", "--count", "3000", "--format", "json"],
+     "654e82046c9e082c346a941051235530"),
+    (["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "9", "--count", "3000", "--format", "dot"],
+     "bda990fdea1e43370700cac6a7436075"),
+    # prefix lines with degrees of 10 or more
+    (["sample", "--degrees", "0:25,1:3,3:2,10:1,12:1", "--seed", "4", "--count", "2000"],
+     "37873f34432257b25fbf1c2c2327c4ae"),
+    # one 300 001-node tree, written in many chunks
+    (["sample", "--degrees", _BIG_TREE, "--seed", "11", "--format", "sexpr"],
+     "3ec240c0a13f5409f67ad160ec7b16a7"),
+    (["sample", "--degrees", _BIG_TREE, "--seed", "11", "--format", "json"],
+     "a23fc24de30613f7c5886f3aa90fc868"),
+    (["sample", "--degrees", _BIG_TREE, "--seed", "11", "--format", "dot"],
+     "0de22539b9337d6f776c7b9557c3a75e"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, md5", _PINNED_MD5,
-    ids=["sample_300000", "enumerate_756", "enumerate_756_json", "fuzz_batched", "fuzz_scalar"],
+    ids=["sample_300000", "enumerate_756", "enumerate_756_json", "fuzz_batched", "fuzz_scalar",
+         "enumerate_756_sexpr", "enumerate_756_dot", "forest_json", "forest_dot", "wide_prefix",
+         "chunks_sexpr", "chunks_json", "chunks_dot"],
 )
 def test_pinned_output_md5(capsys, argv, md5):
     code, out, err = run(argv, capsys)
@@ -654,6 +676,7 @@ print(json.dumps([code, loaded, "secrets" in sys.modules]))
         (["enumerate", "--degrees", "0:5,1:2,2:2,3:1"], 0, False),
         (["enumerate", "--degrees", "0:5,1:2,2:2,3:1", "--format", "json"], 0, False),
         (["enumerate", "--degrees", "0:5,1:2,2:2,3:1", "--format", "dot"], 0, False),
+        (["enumerate", "--degrees", "0:5,1:2,2:2,3:1", "--format", "sexpr"], 0, False),
         # 7 labels per tree, too few for a batch
         (["fuzz-expr", "--degrees", "0:4,1:1,2:1,3:1", "--alphabet", ALPHABET, "--seed", "1",
           "--count", "3", "--style", "infix"], 0, False),
@@ -668,7 +691,7 @@ print(json.dumps([code, loaded, "secrets" in sys.modules]))
         # the only case that draws a seed from entropy
         (["sample", "--degrees", "0:4,1:1,2:1,3:1"], 0, False),
     ],
-    ids=["check", "enumerate", "enumerate_json", "enumerate_dot", "small_fuzz_expr",
+    ids=["check", "enumerate", "enumerate_json", "enumerate_dot", "enumerate_sexpr", "small_fuzz_expr",
          "small_sample", "help", "usage_error", "infeasible", "batched_sample", "count",
          "unseeded_sample"],
 )

@@ -1,3 +1,5 @@
+import inspect
+import io
 import json
 import subprocess
 import sys
@@ -5,10 +7,20 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import RecordingSource, ScalarOnly, all_sequences, brute_well_formed, unmix
+from conftest import (
+    RecordingSource,
+    ScalarOnly,
+    all_sequences,
+    brute_well_formed,
+    constructible_multiset_strategy,
+    unmix,
+)
 from degtree import (
     DegreeMultiset,
+    MalformedCodeError,
     MissingArityError,
     OperatorAlphabet,
     RandomSource,
@@ -20,11 +32,12 @@ from degtree import (
     is_well_formed,
     render_expression,
     sample_tree,
+    sample_trees,
     to_dot,
     to_json,
     to_sexpr,
 )
-from degtree import rng
+from degtree import cli, codec, rng
 from degtree.rng import _GOLDEN
 
 
@@ -209,6 +222,90 @@ assert '  0 [label="1"];' in to_dot([1, 0])
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def _written(trees, fmt, multiset, block):
+    # What the CLI writes for trees, with blocks of at most block nodes
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_BLOCK", block)
+        patch.setattr(codec, "_DIGIT_BLOCK", block)
+        patch.setattr(sys, "stdout", out)
+        cli._write_trees(iter(trees), fmt, multiset)
+    return out.getvalue()
+
+
+# Each tree as the CLI writes it alone, from the public one-tree renders
+_ONE_TREE = {
+    "prefix": lambda code: " ".join(map(str, code)) + "\n",
+    "sexpr": lambda code: to_sexpr(code) + "\n",
+    "json": lambda code: to_json(code) + "\n",
+    "dot": to_dot,
+}
+
+
+class TestBlockWriter:
+    @given(
+        multiset=constructible_multiset_strategy(40, 12),
+        count=st.integers(1, 12),
+        seed=st.integers(0, 2**64 - 1),
+        block=st.integers(1, 120),
+        fmt=st.sampled_from(sorted(_ONE_TREE)),
+    )
+    @example(DegreeMultiset({0: 1}), 5, 0, 3, "dot")
+    @example(DegreeMultiset({0: 1}), 5, 0, 3, "json")
+    def test_blocks_equal_the_one_tree_renders(self, multiset, count, seed, block, fmt):
+        # degrees up to 12: prefix with every degree below 10 has a writer of its own
+        trees = list(sample_trees(multiset, RandomSource(seed), count))
+        separator = "\n" if fmt == "dot" else ""  # a blank line between dot trees
+        expected = separator.join(map(_ONE_TREE[fmt], trees))
+        assert _written(trees, fmt, multiset, block) == expected
+
+    @given(code=st.lists(st.integers(-1, 4), max_size=14), block=st.integers(1, 20))
+    def test_malformed_codes_raise_as_decode_prefix_does(self, code, block):
+        def outcome(read):
+            try:
+                read(code)
+            except (ValueError, MalformedCodeError) as exc:
+                return type(exc), str(exc), getattr(exc, "position", None)
+            return None
+
+        expected = outcome(decode_prefix)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codec, "_BLOCK", block)  # longer codes are read in chunks
+            for render in (to_sexpr, to_json, to_dot):
+                assert outcome(render) == expected, render
+
+    def test_public_renders_take_one_code(self):
+        for read in (decode_prefix, to_sexpr, to_json, to_dot):
+            assert list(inspect.signature(read).parameters) == ["code"], read
+
+    @pytest.mark.parametrize("fmt", ["sexpr", "json", "dot"])
+    def test_large_tree_is_written_in_blocks(self, fmt, monkeypatch):
+        # The writer holds less than the tree's text at any time.  The sampler
+        # hands main() a tree drawn beforehand, so the peak is the writer's.
+        spec = "0:80001,1:60000,2:40000,3:20000"
+        tree = sample_tree(cli.parse_degree_spec(spec), RandomSource(2))
+        assert len(tree) == 200001
+        text_size = len(_ONE_TREE[fmt](tree))
+
+        class Discard:
+            write = staticmethod(len)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(cli, "sample_trees", lambda multiset, source, count: iter([tree]))
+        monkeypatch.setattr(sys, "stdout", Discard())
+        argv = ["sample", "--degrees", spec, "--seed", "2", "--format", fmt]
+        assert cli.main(argv) == 0  # imports and memoised pieces are not the writer's
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < text_size, (peak, text_size)
 
 
 class TestSexpr:

@@ -169,3 +169,9 @@ class TestDegreeMultiset:
 
     def test_repr_round_trips_visually(self):
         assert repr(DegreeMultiset({2: 1, 0: 2})) == "DegreeMultiset({0: 2, 2: 1})"
+
+    def test_repr_of_multiplicities_past_the_int_string_limit(self):
+        # 4301 digits each, more than Python 3.11+ converts with str()
+        big = 10**4300
+        text = repr(DegreeMultiset({0: big, 2: big - 1}))
+        assert text == "DegreeMultiset({0: 1" + "0" * 4300 + ", 2: " + "9" * 4300 + "})"
