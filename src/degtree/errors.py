@@ -1,12 +1,16 @@
 """Exception types shared across the package."""
 
-import decimal
-
 
 def _int_text(n: int) -> str:
     # str(n) without Python's int-to-str digit limit, which a charge or
-    # node count can pass when every entry of its degree spec is within it
-    return str(decimal.Decimal(n))
+    # node count can pass when every entry of its degree spec is within it;
+    # decimal is imported only past that limit.
+    try:
+        return str(n)
+    except ValueError:
+        import decimal
+
+        return str(decimal.Decimal(n))
 
 
 class DegtreeError(Exception):

@@ -12,7 +12,6 @@ exponent step, so importing this module does not load it.
 
 from __future__ import annotations
 
-import decimal
 from itertools import compress, repeat
 from math import factorial, isqrt
 from operator import mul
@@ -23,6 +22,8 @@ from .degrees import DegreeMultiset, is_well_formed
 from .errors import EnumerationTooLargeError, NotConstructibleError
 
 if TYPE_CHECKING:
+    import decimal
+
     import numpy as np
 
 #: Node-count ceiling for exhaustive enumeration.  Time and memory are
@@ -111,6 +112,8 @@ def _count_decimal(multiset: DegreeMultiset) -> decimal.Decimal:
     # by a number-theoretic transform and str() is linear; no
     # binary-to-decimal conversion (quadratic in CPython) ever runs.
     primes, exponents = _count_exponents(multiset)
+    import decimal  # loaded only by the count command
+
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
     return _balanced_product(map(exact.power, primes, exponents), exact.multiply, 1)
 

@@ -9,7 +9,8 @@ undone by rewinding the counter.  The words of row ``r`` in a run of
 rows are known without drawing rows ``0..r-1``, so one kernel draws the
 bounded values of a run of rows, the shuffles of many trees or the
 labels of one expression, from one batch whose rows match the
-``next_below`` chain word for word.
+``next_below`` chain word for word.  It hands each batch over whole, as
+a 2-D array, for a caller that works on all of its rows at once.
 
 The generator is hand-rolled rather than borrowed from ``random.Random``
 so that seeded streams are stable across interpreter versions; the golden
@@ -121,19 +122,21 @@ class RandomSource:
         self._count -= n
 
 
-def _draw_rows(source, bounds, rows: int):
-    # Yield ``rows`` rows of draws, each to be used up before the next is
-    # taken, with the values of [source.next_below(b) for b in bounds]: the
-    # bounds n down to 2 of a Fisher-Yates shuffle, or the symbol counts of
-    # expression labels.  A RandomSource draws a chunk of rows (at most
-    # _CHUNK_WORDS words, or one longer row) with one next_words batch once
-    # the chunk holds _BATCH_WORDS words, and yields each row as a
-    # memoryview: its items become Python ints one at a time as the caller
-    # takes them, where a list would hold them all at once (about 36 MB for
-    # a 1e6-node shuffle).  A batch with a word that next_below would reject
+def _draw_chunks(source, bounds, rows: int):
+    # Yield the draws of ``rows`` rows, each with the values of
+    # [source.next_below(b) for b in bounds]: the bounds n down to 2 of a
+    # Fisher-Yates shuffle, or the symbol counts of expression labels.  They
+    # come chunk by chunk, each chunk to be used up before the next is
+    # taken, as (batch, rows) pairs.  A RandomSource draws a chunk of rows
+    # (at most _CHUNK_WORDS words, or one longer row) with one next_words
+    # batch once the chunk holds _BATCH_WORDS words; batch is then that 2-D
+    # uint64 array of draws and rows yields its rows as memoryviews, whose
+    # items become Python ints one at a time as the caller takes them, where
+    # a list would hold them all at once (about 36 MB for a 1e6-node
+    # shuffle).  A batch with a word that next_below would reject
     # (probability < len(bounds) * max(bounds) / 2**64 per row) is rewound,
-    # and its rows come from next_below like any other source's, so every
-    # path consumes the identical stream.
+    # and its rows come from next_below like any other source's, with batch
+    # None, so every path consumes the identical stream.
     width = len(bounds)
     per_chunk = max(1, _CHUNK_WORDS // max(1, width))
     for start in range(0, rows, per_chunk):
@@ -158,8 +161,14 @@ def _draw_rows(source, bounds, rows: int):
             ):
                 words %= limits
                 del limits  # not held while the rows are used
-                yield from map(memoryview, words)
+                yield words, map(memoryview, words)
                 continue
             source.rewind(size)
-        for _ in range(take):
-            yield (source.next_below(b) for b in bounds)
+        yield None, ((source.next_below(b) for b in bounds) for _ in range(take))
+
+
+def _draw_rows(source, bounds, rows: int):
+    # The rows of _draw_chunks one after another, each to be used up before
+    # the next is taken.
+    for _, chunk in _draw_chunks(source, bounds, rows):
+        yield from chunk

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .degrees import DegreeMultiset
 from .oracle import enumerate_trees
 from .rng import RandomSource
-from .sampling import sample_trees
+from .sampling import _tree_chunks
 
 
 @dataclass
@@ -61,13 +62,19 @@ def uniformity_report(
     """
     if samples <= 0:
         raise ValueError(f"samples must be positive, got {samples}")
-    # sample_trees checks the charge, drawing nothing, before the size check
-    trees = sample_trees(multiset, source, samples)
-    counts = dict.fromkeys(enumerate_trees(multiset), 0)
-    for code in map(tuple, trees):
-        if code not in counts:
-            raise RuntimeError(f"sampled code {code} outside the enumerated space")
-        counts[code] += 1
+    # _tree_chunks checks the charge, drawing nothing, before the size check
+    chunks = _tree_chunks(multiset, source, samples)
+    outcomes = enumerate_trees(multiset)
+    counts = dict.fromkeys(outcomes, 0)
+    for trees, table in chunks:
+        if table is None:  # from the row loop, when numpy need not be loaded
+            for code in map(tuple, trees):
+                if code not in counts:
+                    raise _outside(code)
+                counts[code] += 1
+        else:
+            for code, observed in zip(outcomes, _tally(table, outcomes)):
+                counts[code] += observed
     expected = samples / len(counts)
     chi_square = sum((observed - expected) ** 2 for observed in counts.values())
     chi_square /= expected
@@ -78,3 +85,26 @@ def uniformity_report(
         degrees_of_freedom=len(counts) - 1,
         seed=source.seed,
     )
+
+
+def _tally(table, outcomes: list[tuple[int, ...]]) -> list[int]:
+    # How often each of outcomes, n-node codes in increasing order, occurs
+    # among the rows of the uint8 array table, n-node trees too.  A degree
+    # in an n-node tree is below n, so the digits of a code in base n rank
+    # it in that order, and a row with no equal among the codes is foreign.
+    import numpy as np
+
+    n = table.shape[1]
+    space = np.frombuffer(bytes(chain.from_iterable(outcomes)), dtype=np.uint8)
+    weights = np.array([n**power for power in range(n - 1, -1, -1)], dtype=np.int64)
+    keys = space.reshape(-1, n) @ weights
+    rows = table @ weights
+    found = np.searchsorted(keys, rows)
+    foreign = keys.take(found, mode="clip") != rows
+    if foreign.any():
+        raise _outside(tuple(table[foreign.argmax()].tolist()))
+    return np.bincount(found, minlength=len(keys)).tolist()
+
+
+def _outside(code: tuple[int, ...]) -> RuntimeError:
+    return RuntimeError(f"sampled code {code} outside the enumerated space")

@@ -589,6 +589,11 @@ _PINNED_MD5 = [
      "a23fc24de30613f7c5886f3aa90fc868"),
     (["sample", "--degrees", _BIG_TREE, "--seed", "11", "--format", "dot"],
      "0de22539b9337d6f776c7b9557c3a75e"),
+    # chunks shuffled column by column: 5 chunks of 7281 10-node trees, 13 of 18-node trees
+    (["stats", "--degrees", "0:5,1:2,2:2,3:1", "--samples", "30000", "--seed", "1"],
+     "7ba9744d11bdb569ec8cd7018b792515"),
+    (["sample", "--degrees", "0:9,1:3,2:4,3:2", "--seed", "12", "--count", "50000"],
+     "b9769b3d2673fe7cf717900353efd4e5"),
 ]
 
 
@@ -596,7 +601,7 @@ _PINNED_MD5 = [
     "argv, md5", _PINNED_MD5,
     ids=["sample_300000", "enumerate_756", "enumerate_756_json", "fuzz_batched", "fuzz_scalar",
          "enumerate_756_sexpr", "enumerate_756_dot", "forest_json", "forest_dot", "wide_prefix",
-         "chunks_sexpr", "chunks_json", "chunks_dot"],
+         "chunks_sexpr", "chunks_json", "chunks_dot", "column_stats", "column_sample"],
 )
 def test_pinned_output_md5(capsys, argv, md5):
     code, out, err = run(argv, capsys)
@@ -708,6 +713,43 @@ def test_numpy_is_loaded_only_by_batches_and_count(argv, code, uses_numpy):
     # secrets is loaded only to draw a seed when none is given
     unseeded = argv[0] == "sample" and code == 0 and "--seed" not in argv
     assert report == [code, [False, False, uses_numpy], unseeded]
+
+
+_DECIMAL_PROBE = """
+import json, sys
+from degtree.cli import main
+loaded = ["decimal" in sys.modules]
+code = main(sys.argv[1:])
+loaded.append("decimal" in sys.modules)
+print(json.dumps([code, loaded]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, uses_decimal",
+    [
+        (["check", "--degrees", "0:4,1:1,2:1,3:1"], 0, False),
+        (["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "1"], 0, False),
+        (["sample", "--degrees", "0:9,1:3,2:4,3:2", "--seed", "1", "--count", "100"], 0, False),
+        (["stats", "--degrees", "0:4,1:1,2:1,3:1", "--samples", "100", "--seed", "1"], 0, False),
+        (["count", "--degrees", "0,0"], 2, False),
+        (["count", "--degrees", "0:4,2:3"], 0, True),
+        # a charge of 8001 digits, past the int-to-str digit limit where there is one
+        (["check", "--degrees", "9" * 4000 + ":" + "9" * 4000], 2,
+         0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 8001),
+    ],
+    ids=["check", "small_sample", "column_sample", "stats", "infeasible_count", "count", "long_charge"],
+)
+def test_decimal_is_loaded_only_by_count_and_long_numbers(argv, code, uses_decimal):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    result = subprocess.run(
+        [sys.executable, "-c", _DECIMAL_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [code, [False, uses_decimal]]
 
 
 @pytest.mark.parametrize(

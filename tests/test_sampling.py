@@ -23,7 +23,7 @@ from degtree import (
 )
 from degtree import rng
 from degtree.rng import _GOLDEN
-from degtree.sampling import _swapped
+from degtree.sampling import _COLUMN_ROWS, _swapped, _tree_chunks
 
 
 class ScriptedSource:
@@ -342,6 +342,100 @@ class TestSampleTrees:
             range(size), slow
         )
         assert fast.words_consumed == slow._source.words_consumed
+
+
+def _column_run(multiset, source, count):
+    """The trees of sample_trees, and for each chunk whether the column kernel made it."""
+    trees, columns = [], []
+    for chunk, table in _tree_chunks(multiset, source, count):
+        trees += chunk
+        columns.append(table is not None)
+    return trees, columns
+
+
+@st.composite
+def _charge_one_multisets(draw, widths):
+    # n - 1 unit charges dealt to n nodes: every charge-1 multiset of n
+    # nodes can come out
+    n = draw(widths) + 1
+    owners = draw(st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1))
+    return DegreeMultiset.from_degrees([owners.count(node) for node in range(n)])
+
+
+class TestColumnKernel:
+    # Chunks of at least 64 rows, and at least as many rows as nodes, are
+    # shuffled by the column kernel; ScalarOnly draws every tree through
+    # next_below and the row loop.
+
+    @given(_charge_one_multisets(st.integers(1, 40)), st.integers(0, 100), st.integers(0, 2**64 - 1))
+    def test_equals_row_loop_on_one_stream(self, multiset, extra, seed):
+        n = multiset.total_nodes
+        count = max(n, _COLUMN_ROWS) + extra
+        column, scalar = RecordingSource(seed), ScalarOnly(seed)
+        trees, columns = _column_run(multiset, column, count)
+        assert columns == [True]
+        assert trees == list(sample_trees(multiset, scalar, count))
+        assert column.words_consumed == scalar._source.words_consumed == count * (n - 1)
+        assert column.rewinds == 0
+
+    @given(
+        _charge_one_multisets(st.integers(1, 12)),
+        st.integers(0, 600),
+        st.integers(50, 200),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_chunk_seams_keep_the_stream(self, multiset, count, chunk_rows, seed):
+        # chunks of 50 to 200 rows; one of fewer than 64 rows, or with too
+        # few words for a batch, takes the row loop
+        n = multiset.total_nodes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "_CHUNK_WORDS", chunk_rows * (n - 1))
+            column, scalar = RecordingSource(seed), ScalarOnly(seed)
+            trees, columns = _column_run(multiset, column, count)
+        assert trees == list(sample_trees(multiset, scalar, count))
+        assert column.words_consumed == scalar._source.words_consumed
+        sizes = [min(chunk_rows, count - start) for start in range(0, count, chunk_rows)]
+        assert columns == [size >= _COLUMN_ROWS and size * (n - 1) >= rng._BATCH_WORDS for size in sizes]
+
+    def test_rejection_inside_a_column_chunk_takes_the_row_loop(self):
+        # 64 rows of 9 words; word 21 (row 2, bound 7) is 2**64 - 1, which
+        # next_below(7) rejects, so the batch is rewound and its rows drawn
+        # by next_below, with no second batch
+        multiset = _binary_multiset(10)
+        i = 21
+        seed = (_unmix(2**64 - 1) - (i + 1) * _GOLDEN) % 2**64
+        probe = RandomSource(seed)
+        probe.next_words(i)
+        assert probe.next_word() == 2**64 - 1
+        fast, slow = RecordingSource(seed), ScalarOnly(seed)
+        trees, columns = _column_run(multiset, fast, 64)
+        assert trees == list(sample_trees(multiset, slow, 64))
+        assert columns == [False]
+        assert fast.batches == [64 * 9] and fast.rewinds == 1
+        assert fast.words_consumed == slow._source.words_consumed == 64 * 9 + 1
+        assert fast.next_word() == slow._source.next_word()
+
+    @pytest.mark.parametrize(
+        "size, count, column",
+        # just below and at the crossover: rows of 10-node trees, then
+        # rows of 100-node trees, which need as many rows as nodes
+        [(10, 63, False), (10, 64, True), (100, 99, False), (100, 100, True)],
+    )
+    def test_the_row_loop_takes_chunks_below_the_crossover(self, size, count, column):
+        multiset = _binary_multiset(size)
+        fast, slow = RecordingSource(4), ScalarOnly(4)
+        trees, columns = _column_run(multiset, fast, count)
+        assert trees == list(sample_trees(multiset, slow, count))
+        assert columns == [column] and fast.batches == [count * (size - 1)]
+
+    def test_widest_column_chunk_holds_a_degree_of_255(self):
+        # 256 rows of 255 words fill one chunk, the widest the kernel takes
+        multiset = DegreeMultiset({0: 255, 255: 1})
+        fast, slow = RecordingSource(6), ScalarOnly(6)
+        trees, columns = _column_run(multiset, fast, 256)
+        assert columns == [True]
+        assert trees == list(sample_trees(multiset, slow, 256))
+        assert all(tree[0] == 255 for tree in trees)
 
 
 class TestPrefixLawPastEnumeration:

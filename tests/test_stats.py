@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from degtree import (
     enumerate_trees,
     uniformity_report,
 )
+from degtree import sampling
 
 
 def test_single_outcome_space_is_degenerate():
@@ -84,6 +86,43 @@ def test_input_validation():
         uniformity_report(DegreeMultiset({0: 1, 2: 1}), 10, RandomSource(1))
     with pytest.raises(EnumerationTooLargeError):
         uniformity_report(DegreeMultiset({0: 6, 2: 5}), 10, RandomSource(1))
+
+
+def _foreign_column(sequence, draws, real=sampling._column_trees):
+    table = real(sequence, draws)
+    table[57] = [0, 0, 2, 2, 0]
+    return table
+
+
+def _foreign_rows(sequence, rows):
+    return iter([[2, 0, 2, 0, 0], [0, 0, 2, 2, 0], [2, 2, 0, 0, 0]])
+
+
+@pytest.mark.parametrize(
+    "kernel, fake, samples",
+    # 100 trees of 5 nodes in one column chunk; 3 trees draw too few words
+    # for a batch and take the row loop
+    [("_column_trees", _foreign_column, 100), ("_row_trees", _foreign_rows, 3)],
+    ids=["column", "row"],
+)
+def test_code_outside_the_space_is_an_error(monkeypatch, kernel, fake, samples):
+    # the kernel emits (0, 0, 2, 2, 0), a rotation of a tree but no tree
+    monkeypatch.setattr(sampling, kernel, fake)
+    with pytest.raises(RuntimeError, match=re.escape("sampled code (0, 0, 2, 2, 0) outside")):
+        uniformity_report(DegreeMultiset({0: 3, 2: 2}), samples, RandomSource(1))
+
+
+def test_chunks_of_both_kernels_add_up():
+    # 10-node trees come in chunks of 7281 rows (2**16 // 9 words): three
+    # column chunks, then one row that takes the row loop
+    multiset = DegreeMultiset({0: 5, 1: 2, 2: 2, 3: 1})
+    samples = 3 * 7281 + 1
+    report = uniformity_report(multiset, samples, RandomSource(8))
+    expected = dict.fromkeys(enumerate_trees(multiset), 0)
+    for code in map(tuple, sampling.sample_trees(multiset, RandomSource(8), samples)):
+        expected[code] += 1
+    assert report.outcome_counts == expected
+    assert all(type(count) is int for count in report.outcome_counts.values())
 
 
 def test_chi_square_quantile_constant_matches_scipy():
