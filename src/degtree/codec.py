@@ -183,14 +183,21 @@ def encode_prefix(tree: TreeNode) -> list[int]:
     return out
 
 
-def _forests(codes, size: int, fmt: str):
-    # Iterate over codes of size nodes in lists of as many as fill a block,
-    # for digits in bytearrays: a pass per code doubled the time of 3e5
-    # three-node trees.
-    per = (_DIGIT_BLOCK if fmt == "digits" else _BLOCK) // size
-    if fmt == "digits":
-        return iter(lambda: bytearray().join(map(bytearray, islice(codes, max(per, 1)))), b"")
-    return iter(lambda: reduce(list.__iadd__, islice(codes, per), []), []) if per > 1 else codes
+def _forests(chunks, size: int, fmt: str):
+    # The codes of chunks, (codes, table) pairs as sampling._tree_chunks
+    # yields them, in lists of as many size-node codes as fill a block, for
+    # digits in bytes: a pass per code doubled the time of 3e5 three-node
+    # trees.  A table, a code a row, is cut into runs of rows.
+    digits = fmt == "digits"
+    per = max((_DIGIT_BLOCK if digits else _BLOCK) // size, 1)
+    for codes, table in chunks:
+        if table is not None:
+            runs = (table[start : start + per] for start in range(0, len(table), per))
+            yield from (run.tobytes() if digits else run.ravel().tolist() for run in runs)
+        elif digits:
+            yield from iter(lambda: bytearray().join(map(bytearray, islice(codes, per))), b"")
+        else:
+            yield from iter(lambda: reduce(list.__iadd__, islice(codes, per), []), []) if per > 1 else codes
 
 
 def _blocks(units, size: int, fmt: str, end: str = "\n"):

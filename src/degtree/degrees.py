@@ -12,6 +12,7 @@ package; only the multiset constraint gets a class of its own.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import index
@@ -37,10 +38,7 @@ class DegreeMultiset:
             if degree < 0:
                 raise ValueError(f"outdegree must be non-negative, got {degree}")
             if multiplicity < 1:
-                raise ValueError(
-                    f"multiplicity of degree {degree} must be positive, "
-                    f"got {multiplicity}"
-                )
+                raise ValueError(f"multiplicity of degree {degree} must be positive, got {multiplicity}")
             cleaned[degree] = multiplicity
         if not cleaned:
             raise ValueError("degree multiset must contain at least one node")
@@ -50,10 +48,7 @@ class DegreeMultiset:
     @classmethod
     def from_degrees(cls, degrees: Iterable[int]) -> "DegreeMultiset":
         """Build from an iterable listing one outdegree per node."""
-        counts: dict[int, int] = {}
-        for degree in degrees:
-            counts[degree] = counts.get(degree, 0) + 1
-        return cls(counts)
+        return cls(Counter(degrees))
 
     @property
     def counts(self) -> dict[int, int]:

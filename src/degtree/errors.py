@@ -29,10 +29,8 @@ class NotConstructibleError(DegtreeError):
     """No tree can use every node of the given degree multiset."""
 
     def __init__(self, charge: int):
-        super().__init__(
-            f"degree multiset has charge {_int_text(charge)}, expected 1; "
-            "no tree uses all of its nodes"
-        )
+        message = f"degree multiset has charge {_int_text(charge)}, expected 1; no tree uses all of its nodes"
+        super().__init__(message)
         self.charge = charge
 
 
@@ -48,9 +46,7 @@ class TrailingSymbolsError(MalformedCodeError):
     """A complete tree was decoded but symbols remained."""
 
     def __init__(self, position: int):
-        super().__init__(
-            f"complete tree ends at position {position}; trailing symbols remain"
-        )
+        super().__init__(f"complete tree ends at position {position}; trailing symbols remain")
         self.position = position
 
 
@@ -66,8 +62,6 @@ class EnumerationTooLargeError(DegtreeError):
     """Exhaustive enumeration was requested beyond the configured size bound."""
 
     def __init__(self, total_nodes: int, bound: int):
-        super().__init__(
-            f"{_int_text(total_nodes)} nodes exceeds the exhaustive enumeration bound of {bound}"
-        )
+        super().__init__(f"{_int_text(total_nodes)} nodes exceeds the exhaustive enumeration bound of {bound}")
         self.total_nodes = total_nodes
         self.bound = bound

@@ -7,18 +7,15 @@ sequence exactly one is well-formed (the cycle lemma), and every tree is
 hit by equally many shuffles, so the output is uniform over all trees
 satisfying the multiset.  Each stage is linear in the node count.
 
-The shuffle takes its draws from ``rng._draw_chunks``, the draw kernel
-that expression labels use too, which computes them from ``next_below``
-or from one numpy batch over the identical word stream, for one shuffle
-or for a chunk of them.  One swap loop shuffles a tree at a time.
-Fisher-Yates fixes positions back to front, so the same loop also finds
-the rotation point: the first position where the suffix charge is
-lowest is where the prefix charge first peaks.  A batched chunk of
-``sample_trees`` that holds at least 64 trees, and at least as many as
-each has nodes, goes instead to a column kernel, which makes the same
-swaps with one numpy step per position across all of its trees, then
-finds every rotation point as the first peak of the prefix charge.
-Both give the same trees from the same draws.
+The shuffle takes its draws from ``rng._draw_chunks``, for one shuffle
+or a chunk of them, from ``next_below`` or one numpy batch of the same
+words, and its loop only swaps.  A batched chunk whose degrees fit a
+byte becomes one ``uint8`` table, a tree a row (made by a column kernel,
+one numpy step per position, when it holds at least 64 trees and at
+least as many as each has nodes), and one numpy step finds every
+rotation point, the first peak of the prefix charge, and rotates every
+row.  Any other chunk rotates tree by tree, without numpy.  All give the
+same trees from the same draws.
 
 Indexing: the rotation point ``k`` returned by ``find_rotation_point`` is
 both the 1-based position of the last symbol of the complete-expression
@@ -36,18 +33,16 @@ from .errors import NotConstructibleError
 from .rng import _draw_chunks, _draw_rows
 
 # The fewest trees a batched chunk of sample_trees must hold, besides at
-# least as many trees as each has nodes, to go to the column kernel.  The
-# kernel pays numpy's per-call cost once per position rather than
-# Python's once per node, so it needs many rows, nearly whatever their
-# width.  With Python 3.11 and numpy 2.4 on a 2-core x86-64 box, trees as
-# lists included, it ran at 0.4-0.9x the speed of the row loop on square
-# chunks of 10-40 nodes and at 24-32 rows of 28-120 nodes, broke even
-# between 28 and 64 rows, and ran 1.3-1.8x faster at 64 rows and
-# 1.9-2.6x at 128 rows of 8-120 nodes.
+# least as many trees as each has nodes, to go to the column kernel, which
+# pays numpy's per-call cost once per position rather than Python's once
+# per node.  It broke even between 28 and 64 rows of 8-120 nodes.
 _COLUMN_ROWS = 64
+# From one more node than this a tree whose degrees fit a byte is swapped
+# in a bytearray, where its list of pointers outgrows a core's L2 cache.
+_BYTE_NODES = 1 << 19
 
 
-def fisher_yates_shuffle(degrees: Sequence[int], source) -> list[int]:
+def fisher_yates_shuffle(degrees: Sequence, source) -> list:
     """Return a uniformly shuffled copy of ``degrees`` in O(n).
 
     ``source`` needs only a ``next_below(bound)`` method; indices are
@@ -55,33 +50,16 @@ def fisher_yates_shuffle(degrees: Sequence[int], source) -> list[int]:
     with ``len(degrees) - 1`` values walks every permutation path exactly
     once.  A :class:`RandomSource` gets its draws computed in one numpy
     batch over the identical word stream once there are enough of them.
-    The items must be numbers, since the swap loop sums their charges.
+    The items may be of any kind.
     """
-    return _swapped(degrees, next(_draw_rows(source, range(len(degrees), 1, -1), 1)))[0]
+    return _swapped(list(degrees), next(_draw_rows(source, range(len(degrees), 1, -1), 1)))
 
 
-def _swapped(degrees: Sequence[int], draws) -> tuple[list[int], int]:
-    # The one Fisher-Yates swap loop; draws come back to front.  Position i
-    # is final once swapped, so the loop also keeps the first position k in
-    # [1, n] where the suffix charge is lowest (n for the empty suffix): for
-    # a charge-1 sequence the prefix charge, 1 minus the suffix charge,
-    # first peaks there, so k is find_rotation_point of the result.  The
-    # values stay a list even when they would fit in bytes: CPython 3.11
-    # specialises list[int] subscripts, and over a bytearray this loop
-    # measured 25-85% slower per item from 1e2 to 1e5 nodes and no faster
-    # from 3e5 to 4e6.
-    values = list(degrees)
-    n = k = len(values)
-    suffix = low = 0
-    for i, j in zip(range(n - 1, 0, -1), draws):
-        v = values[j]
-        values[j] = values[i]
-        values[i] = v
-        suffix += 1 - v
-        if suffix <= low:
-            low = suffix
-            k = i
-    return values, k
+def _swapped(values, draws):
+    # The one Fisher-Yates swap loop, in place; draws come back to front.
+    for i, j in zip(range(len(values) - 1, 0, -1), draws):
+        values[i], values[j] = values[j], values[i]
+    return values
 
 
 def find_rotation_point(degrees: Sequence[int]) -> int:
@@ -149,11 +127,10 @@ def sample_trees(multiset: DegreeMultiset, source, count: int) -> Iterator[list[
 
 
 def _tree_chunks(multiset: DegreeMultiset, source, count: int):
-    # The trees of sample_trees chunk by chunk, as (trees, table) pairs,
-    # each chunk to be used up before the next is taken.  trees yields
-    # each tree as a list; table is the 2-D uint8 array of the chunk's
-    # trees, one per row, when the column kernel shuffled it, and None
-    # otherwise.  The checks of sample_trees are made here, at the call.
+    # The trees of sample_trees chunk by chunk, each chunk used up before the
+    # next is taken, as (trees, table): trees yields lists, and table is the
+    # (trees, nodes) uint8 array of them, or None when they were rotated one
+    # by one.  The checks of sample_trees are made here, at the call.
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     total = multiset.charge
@@ -163,37 +140,37 @@ def _tree_chunks(multiset: DegreeMultiset, source, count: int):
 
 
 def _chunks(sequence: list[int], source, count: int):
-    n = len(sequence)
+    n, top = len(sequence), sequence[-1]
+    container = bytearray if n > _BYTE_NODES and top <= 255 else list
     for batch, rows in _draw_chunks(source, range(n, 1, -1), count):
-        if batch is not None and len(batch) >= max(n, _COLUMN_ROWS):
-            table = _column_trees(sequence, batch)
-            yield (tree.tolist() for tree in table), table
-        else:
+        if batch is None or top > 255:
             yield _row_trees(sequence, rows), None
+            continue
+        if len(batch) >= max(n, _COLUMN_ROWS):
+            table = _column_table(sequence, batch)
+        else:
+            table = bytearray().join(bytearray(_swapped(container(sequence), draws)) for draws in rows)
+        table = _rotated(table, n)
+        yield (tree.tolist() for tree in table), table
 
 
 def _row_trees(sequence: list[int], rows):
     for draws in rows:
-        shuffled, k = _swapped(sequence, draws)
-        tree = shuffled[k:] + shuffled[:k]
+        shuffled = _swapped(list(sequence), draws)
+        tree = rotate(shuffled, find_rotation_point(shuffled))
         del shuffled, draws  # not held while the caller has the tree
         yield tree
 
 
-def _column_trees(sequence: list[int], draws):
-    # The trees _row_trees makes from the rows of draws, a uint64 array of
-    # at least n = len(sequence) rows, made for all rows at once.  The swap
-    # loop of _swapped runs one numpy step per position over every row:
-    # position i of all trees is the contiguous row columns[i], and the
-    # draw j of row r, below n, indexes the flat array at j * rows + r.
-    # Each tree's rotation point is the first peak of its prefix charge,
-    # and one take_along_axis rotates every tree.  At least n rows of n - 1
-    # draws fit in _CHUNK_WORDS = 2**16 words only for n <= 256, so every
-    # degree, at most n - 1, fits in a byte.
+def _column_table(sequence: list[int], draws):
+    # The shuffles _swapped makes from the rows of draws, a uint64 array of
+    # at least n = len(sequence) rows, as a (rows, n) uint8 array.  Each
+    # swap runs across every row: position i of all trees is the contiguous
+    # row columns[i], and draw j of row r indexes the flat array at
+    # j * rows + r.
     import numpy as np
 
     rows, n = draws.shape[0], len(sequence)
-    assert sequence[-1] <= 255, "a column chunk holds a degree above 255"
     columns = np.empty((n, rows), dtype=np.uint8)
     columns[:] = np.array(sequence, dtype=np.uint8)[:, None]
     flat = columns.reshape(-1)
@@ -204,8 +181,24 @@ def _column_trees(sequence: list[int], draws):
         v = flat[j]
         flat[j] = columns[i]
         columns[i] = v
-    del at
-    trees = columns.T
-    charge = np.arange(1, n + 1, dtype=np.int16) - trees.cumsum(axis=1, dtype=np.int16)
+    return columns.T
+
+
+def _rotated(table, n: int):
+    # The rows of table, n-node shuffles (or their bytes), each rotated at
+    # the first peak of its prefix charge: one row by two slices, more by
+    # each row's window of the table set twice side by side.
+    import numpy as np
+
+    table = np.frombuffer(table, dtype=np.uint8).reshape(-1, n) if isinstance(table, bytearray) else table
+    charge = np.subtract(1, table, dtype=np.int32)
+    charge.cumsum(axis=1, out=charge)
     start = charge.argmax(axis=1) + 1
-    return np.take_along_axis(trees, (start[:, None] + np.arange(n)) % n, axis=1)
+    del charge
+    if len(table) == 1:
+        k = int(start[0])
+        return np.concatenate((table[:, k:], table[:, :k]), axis=1)
+    doubled = np.concatenate((table, table), axis=1)
+    row, step = doubled.strides
+    windows = np.lib.stride_tricks.as_strided(doubled, (len(table), n + 1, n), (row, step, step), writeable=False)
+    return windows[np.arange(len(table)), start]

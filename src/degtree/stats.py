@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 
+from .codec import _DIGITS
 from .degrees import DegreeMultiset
 from .oracle import enumerate_trees
 from .rng import RandomSource
@@ -31,15 +32,12 @@ class FrequencyReport:
 
     def to_json(self) -> str:
         """One-line JSON with outcomes in the order of ``outcome_counts``."""
-        payload = {
-            "seed": self.seed,
-            "samples": self.total_samples,
-            "chi_square": self.chi_square,
-            "degrees_of_freedom": self.degrees_of_freedom,
-            "outcomes": list(self.outcome_counts),
-            "counts": list(self.outcome_counts.values()),
-        }
-        return json.dumps(payload)
+        head = json.dumps({"seed": self.seed, "samples": self.total_samples, "chi_square": self.chi_square,
+                           "degrees_of_freedom": self.degrees_of_freedom})
+        outcomes = _codes_json(list(self.outcome_counts))
+        counts = json.dumps(list(self.outcome_counts.values()))
+        # what json.dumps writes with "outcomes" and "counts" added last
+        return f'{head[:-1]}, "outcomes": {outcomes}, "counts": {counts}}}'
 
 
 def uniformity_report(
@@ -104,6 +102,25 @@ def _tally(table, outcomes: list[tuple[int, ...]]) -> list[int]:
     if foreign.any():
         raise _outside(tuple(table[foreign.argmax()].tolist()))
     return np.bincount(found, minlength=len(keys)).tolist()
+
+
+def _codes_json(codes: list[tuple[int, ...]]) -> str:
+    # json.dumps(codes), made without it for tuples of one length whose
+    # degrees are all below 10, as in a space of at most 10 nodes: each code
+    # is "[d, d, ..., d]", so one slice assignment a position writes it.
+    try:
+        digits = b"".join(map(bytes, codes))  # refuses a degree that is no byte
+        (size,) = set(map(len, codes))
+    except (TypeError, ValueError):
+        return json.dumps(codes)
+    if set(map(type, codes)) != {tuple} or digits.translate(None, bytes(range(10))):
+        return json.dumps(codes)
+    width = 3 * size + 2
+    text = bytearray(b"[" + b", ".join([b"0"] * size) + b"], ") * len(codes)
+    digits = digits.translate(_DIGITS)
+    for position in range(size):
+        text[3 * position + 1 :: width] = digits[position::size]
+    return "[" + text[:-2].decode("ascii") + "]"
 
 
 def _outside(code: tuple[int, ...]) -> RuntimeError:

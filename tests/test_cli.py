@@ -594,6 +594,12 @@ _PINNED_MD5 = [
      "7ba9744d11bdb569ec8cd7018b792515"),
     (["sample", "--degrees", "0:9,1:3,2:4,3:2", "--seed", "12", "--count", "50000"],
      "b9769b3d2673fe7cf717900353efd4e5"),
+    # one 800 001-node tree, past the node count from which the swap loop runs over bytes
+    (["sample", "--degrees", "0:300001,1:300000,2:100000,3:100000", "--seed", "21"],
+     "e1a2e441ff1b2a4ea91b3676b7376635"),
+    # a degree above 255, in two batched chunks
+    (["sample", "--degrees", "0:350,2:50,300:1", "--seed", "8", "--count", "200"],
+     "263a0c10f288d19dc78901ec0a4f1527"),
 ]
 
 
@@ -601,7 +607,8 @@ _PINNED_MD5 = [
     "argv, md5", _PINNED_MD5,
     ids=["sample_300000", "enumerate_756", "enumerate_756_json", "fuzz_batched", "fuzz_scalar",
          "enumerate_756_sexpr", "enumerate_756_dot", "forest_json", "forest_dot", "wide_prefix",
-         "chunks_sexpr", "chunks_json", "chunks_dot", "column_stats", "column_sample"],
+         "chunks_sexpr", "chunks_json", "chunks_dot", "column_stats", "column_sample", "byte_swap",
+         "wide_degree"],
 )
 def test_pinned_output_md5(capsys, argv, md5):
     code, out, err = run(argv, capsys)

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -224,14 +225,14 @@ assert '  0 [label="1"];' in to_dot([1, 0])
     assert result.returncode == 0, result.stderr
 
 
-def _written(trees, fmt, multiset, block):
-    # What the CLI writes for trees, with blocks of at most block nodes
+def _written(chunks, fmt, multiset, block):
+    # What the CLI writes for chunks of trees, with blocks of at most block nodes
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codec, "_BLOCK", block)
         patch.setattr(codec, "_DIGIT_BLOCK", block)
         patch.setattr(sys, "stdout", out)
-        cli._write_trees(iter(trees), fmt, multiset)
+        cli._write_trees(chunks, fmt, multiset)
     return out.getvalue()
 
 
@@ -251,15 +252,22 @@ class TestBlockWriter:
         seed=st.integers(0, 2**64 - 1),
         block=st.integers(1, 120),
         fmt=st.sampled_from(sorted(_ONE_TREE)),
+        cut=st.integers(0, 12),
     )
-    @example(DegreeMultiset({0: 1}), 5, 0, 3, "dot")
-    @example(DegreeMultiset({0: 1}), 5, 0, 3, "json")
-    def test_blocks_equal_the_one_tree_renders(self, multiset, count, seed, block, fmt):
-        # degrees up to 12: prefix with every degree below 10 has a writer of its own
+    @example(DegreeMultiset({0: 1}), 5, 0, 3, "dot", 2)
+    @example(DegreeMultiset({0: 1}), 5, 0, 3, "json", 2)
+    def test_blocks_equal_the_one_tree_renders(self, multiset, count, seed, block, fmt, cut):
+        # degrees up to 12: prefix with every degree below 10 has a writer of
+        # its own.  The trees come as a chunk of lists and a chunk of table
+        # rows, cut anywhere, then the other way round.
         trees = list(sample_trees(multiset, RandomSource(seed), count))
         separator = "\n" if fmt == "dot" else ""  # a blank line between dot trees
         expected = separator.join(map(_ONE_TREE[fmt], trees))
-        assert _written(trees, fmt, multiset, block) == expected
+        table = np.array(trees, dtype=np.uint8)
+        lists_first = [(iter(trees[:cut]), None), (iter(()), table[cut:])]
+        table_first = [(iter(()), table[:cut]), (iter(trees[cut:]), None)]
+        assert _written(lists_first, fmt, multiset, block) == expected
+        assert _written(table_first, fmt, multiset, block) == expected
 
     @given(code=st.lists(st.integers(-1, 4), max_size=14), block=st.integers(1, 20))
     def test_malformed_codes_raise_as_decode_prefix_does(self, code, block):
@@ -295,7 +303,7 @@ class TestBlockWriter:
             def flush(self):
                 pass
 
-        monkeypatch.setattr(cli, "sample_trees", lambda multiset, source, count: iter([tree]))
+        monkeypatch.setattr(cli, "_tree_chunks", lambda multiset, source, count: iter([(iter([tree]), None)]))
         monkeypatch.setattr(sys, "stdout", Discard())
         argv = ["sample", "--degrees", spec, "--seed", "2", "--format", fmt]
         assert cli.main(argv) == 0  # imports and memoised pieces are not the writer's

@@ -2,8 +2,9 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import RecordingSource, ScalarOnly, brute_well_formed, unmix as _unmix
@@ -21,9 +22,9 @@ from degtree import (
     sample_tree,
     sample_trees,
 )
-from degtree import rng
+from degtree import rng, sampling
 from degtree.rng import _GOLDEN
-from degtree.sampling import _COLUMN_ROWS, _swapped, _tree_chunks
+from degtree.sampling import _COLUMN_ROWS, _rotated, _swapped, _tree_chunks
 
 
 class ScriptedSource:
@@ -62,6 +63,15 @@ class TestShuffle:
         for draws in itertools.product(range(3), range(2)):
             seen.add(tuple(fisher_yates_shuffle([1, 2, 3], ScriptedSource(draws))))
         assert seen == set(itertools.permutations([1, 2, 3]))
+
+    @pytest.mark.parametrize("size", [5, 40])
+    def test_shuffles_items_of_any_kind(self, size):
+        # strings, drawn by next_below and (40 items) in one batch, take the
+        # same swaps as their positions
+        words = [f"w{i}" for i in range(size)]
+        shuffled = fisher_yates_shuffle(words, RandomSource(size))
+        positions = fisher_yates_shuffle(range(size), RandomSource(size))
+        assert shuffled == [words[i] for i in positions]
 
     @given(st.lists(st.integers(0, 5), max_size=40), st.integers(0, 2**32))
     def test_preserves_multiset(self, values, seed):
@@ -139,13 +149,20 @@ class TestFindRotationPoint:
         assert info.value.charge == 1 - 2**64
 
     def test_matches_decomposition_exhaustively(self, charge_one_family):
-        # identity draws (j = i) leave seq in place, so the swap loop's
-        # point is the rotation point of seq itself
+        # identity draws (j = i) leave seq in place, so the table kernel
+        # rotates seq itself: all of one length as one table, and each
+        # as a table of one row
+        by_length = {}
         for seq in charge_one_family:
             k = decompose(seq).complete_prefix_length
             assert 1 <= k <= len(seq)
-            assert _swapped(seq, range(len(seq) - 1, 0, -1)) == (list(seq), k)
             assert find_rotation_point(seq) == k
+            assert _swapped(list(seq), range(len(seq) - 1, 0, -1)) == list(seq)
+            assert _rotated(bytearray(seq), len(seq)).tolist() == [rotate(seq, k)]
+            by_length.setdefault(len(seq), []).append(seq)
+        for n, family in by_length.items():
+            table = _rotated(np.array(family, dtype=np.uint8), n)
+            assert table.tolist() == [rotate(seq, find_rotation_point(seq)) for seq in family]
 
     def test_well_formed_input_is_fixpoint(self, well_formed_family):
         for seq in well_formed_family:
@@ -346,10 +363,18 @@ class TestSampleTrees:
 
 def _column_run(multiset, source, count):
     """The trees of sample_trees, and for each chunk whether the column kernel made it."""
-    trees, columns = [], []
-    for chunk, table in _tree_chunks(multiset, source, count):
-        trees += chunk
-        columns.append(table is not None)
+    trees, columns, calls = [], [], []
+
+    def recorded(sequence, draws, real=sampling._column_table):
+        calls.append(len(draws))
+        return real(sequence, draws)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "_column_table", recorded)
+        for chunk, _ in _tree_chunks(multiset, source, count):
+            trees += chunk
+            columns.append(bool(calls))
+            calls.clear()
     return trees, columns
 
 
@@ -436,6 +461,85 @@ class TestColumnKernel:
         assert columns == [True]
         assert trees == list(sample_trees(multiset, slow, 256))
         assert all(tree[0] == 255 for tree in trees)
+
+
+def _shuffled_then_rotated(multiset, source, count):
+    """count trees by the public stages, each drawn from source in turn."""
+    sequence = multiset.to_sequence()
+    for _ in range(count):
+        shuffled = fisher_yates_shuffle(sequence, source)
+        yield rotate(shuffled, find_rotation_point(shuffled))
+
+
+@st.composite
+def _wide_multisets(draw):
+    # widths 1-300, and a few with one degree above 255
+    if draw(st.integers(0, 9)):
+        return draw(_charge_one_multisets(st.integers(1, 299)))
+    top = draw(st.integers(256, 298))
+    unary = draw(st.integers(0, 299 - top))
+    return DegreeMultiset({d: m for d, m in {0: top, 1: unary, top: 1}.items() if m})
+
+
+class TestTableKernel:
+    # Every batched chunk with degrees below 256 is one uint8 table whose rows
+    # one numpy step rotates; every other chunk rotates tree by tree.  Both
+    # give the trees of the public shuffle, rotation point and rotation,
+    # drawn one after another by next_below.
+
+    @given(
+        multiset=_wide_multisets(),
+        count=st.integers(1, 30),
+        chunk_words=st.integers(32, 3000),
+        byte_nodes=st.integers(0, 300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(DegreeMultiset({0: 255, 255: 1}), 2, 255, 0, 3)  # two 1-row chunks of bytes
+    @example(DegreeMultiset({0: 299, 299: 1}), 3, 3000, 0, 3)  # a degree above 255 in one batch
+    def test_equals_shuffle_then_rotate(self, multiset, count, chunk_words, byte_nodes, seed):
+        # chunk seams wherever chunk_words puts them; trees of more than
+        # byte_nodes nodes are swapped in a bytearray
+        n = multiset.total_nodes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "_CHUNK_WORDS", chunk_words)
+            patch.setattr(sampling, "_BYTE_NODES", byte_nodes)
+            fast = RecordingSource(seed)
+            chunks = [(list(trees), table) for trees, table in _tree_chunks(multiset, fast, count)]
+        slow = ScalarOnly(seed)
+        trees = [tree for chunk, _ in chunks for tree in chunk]
+        assert trees == list(_shuffled_then_rotated(multiset, slow, count))
+        assert all(type(tree) is list and type(tree[0]) is int for tree in trees)
+        assert fast.words_consumed == slow._source.words_consumed == count * (n - 1)
+        tables = [table for _, table in chunks if table is not None]
+        assert len(tables) == (len(fast.batches) if max(multiset.counts) <= 255 else 0)
+        for (chunk, table) in chunks:
+            if table is not None:
+                assert table.dtype == np.uint8 and table.tolist() == chunk
+
+    def test_rewound_chunk_rotates_tree_by_tree(self, monkeypatch):
+        # chunks of one row; the seed's first word is 2**64 - 1, which
+        # next_below(1025) rejects, so the first chunk is rewound and drawn
+        # by next_below, and the second is one batch
+        monkeypatch.setattr(rng, "_CHUNK_WORDS", 1024)
+        seed = (_unmix(2**64 - 1) - _GOLDEN) % 2**64
+        multiset = _binary_multiset(1025)
+        fast, slow = RecordingSource(seed), ScalarOnly(seed)
+        chunks = [(list(trees), table) for trees, table in _tree_chunks(multiset, fast, 2)]
+        assert [table is None for _, table in chunks] == [True, False]
+        assert fast.rewinds == 1 and fast.batches == [1024, 1024]
+        trees = [tree for chunk, _ in chunks for tree in chunk]
+        assert trees == list(_shuffled_then_rotated(multiset, slow, 2))
+        assert fast.words_consumed == slow._source.words_consumed == 2 * 1024 + 1
+
+    def test_one_row_chunk_of_bytes(self, monkeypatch):
+        # 2001 nodes past a lowered byte threshold: one row swapped in a
+        # bytearray, rotated by two slices
+        monkeypatch.setattr(sampling, "_BYTE_NODES", 2000)
+        multiset = _binary_multiset(2001)
+        fast, slow = RecordingSource(9), ScalarOnly(9)
+        ((trees, table),) = _tree_chunks(multiset, fast, 1)
+        assert table.shape == (1, 2001) and fast.batches == [2000]
+        assert list(trees) == list(_shuffled_then_rotated(multiset, slow, 1))
 
 
 class TestPrefixLawPastEnumeration:

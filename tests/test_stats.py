@@ -6,6 +6,7 @@ import pytest
 from degtree import (
     DegreeMultiset,
     EnumerationTooLargeError,
+    FrequencyReport,
     NotConstructibleError,
     RandomSource,
     enumerate_trees,
@@ -78,6 +79,38 @@ def test_json_schema():
     assert payload["degrees_of_freedom"] == 1
 
 
+def _payload(report):
+    return {
+        "seed": report.seed,
+        "samples": report.total_samples,
+        "chi_square": report.chi_square,
+        "degrees_of_freedom": report.degrees_of_freedom,
+        "outcomes": list(report.outcome_counts),
+        "counts": list(report.outcome_counts.values()),
+    }
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [{0: 2, 2: 1}, {0: 3, 2: 2}, {0: 4, 1: 1, 2: 1, 3: 1}, {0: 3, 1: 3, 3: 1},
+     {0: 5, 1: 2, 2: 2, 3: 1}, {0: 9, 9: 1}, {0: 5, 1: 3, 5: 1}, {0: 1, 1: 9}],
+)
+def test_json_equals_json_dumps_of_the_payload(counts):
+    # the outcomes are written digit by digit, every degree being below 10
+    report = uniformity_report(DegreeMultiset(counts), 500, RandomSource(3))
+    assert report.to_json() == json.dumps(_payload(report))
+
+
+@pytest.mark.parametrize(
+    "outcomes",
+    # degrees of 10 and more, codes of two lengths, no outcomes, values that are no bytes
+    [{(10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0): 2}, {(2, 0, 0): 1, (1, 0): 2}, {}, {(0,): 1, (300,): 0}, {(-1,): 3}],
+)
+def test_json_of_other_outcomes_falls_back_to_json_dumps(outcomes):
+    report = FrequencyReport(outcomes, 5, 1.5, max(len(outcomes) - 1, 0), 7)
+    assert report.to_json() == json.dumps(_payload(report))
+
+
 def test_input_validation():
     good = DegreeMultiset({0: 2, 2: 1})
     with pytest.raises(ValueError):
@@ -88,9 +121,9 @@ def test_input_validation():
         uniformity_report(DegreeMultiset({0: 6, 2: 5}), 10, RandomSource(1))
 
 
-def _foreign_column(sequence, draws, real=sampling._column_trees):
-    table = real(sequence, draws)
-    table[57] = [0, 0, 2, 2, 0]
+def _foreign_table(table, n, real=sampling._rotated):
+    table = real(table, n)
+    table[len(table) // 2] = [0, 0, 2, 2, 0]
     return table
 
 
@@ -100,10 +133,11 @@ def _foreign_rows(sequence, rows):
 
 @pytest.mark.parametrize(
     "kernel, fake, samples",
-    # 100 trees of 5 nodes in one column chunk; 3 trees draw too few words
-    # for a batch and take the row loop
-    [("_column_trees", _foreign_column, 100), ("_row_trees", _foreign_rows, 3)],
-    ids=["column", "row"],
+    # 100 trees of 5 nodes in one column chunk, 40 in one chunk of rows
+    # swapped one by one, both rotated as a table; 3 trees draw too few
+    # words for a batch and are rotated one by one
+    [("_rotated", _foreign_table, 100), ("_rotated", _foreign_table, 40), ("_row_trees", _foreign_rows, 3)],
+    ids=["column", "row_table", "row"],
 )
 def test_code_outside_the_space_is_an_error(monkeypatch, kernel, fake, samples):
     # the kernel emits (0, 0, 2, 2, 0), a rotation of a tree but no tree
