@@ -16,9 +16,10 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 from typing import Sequence
 
-from .codec import OperatorAlphabet, _blocks, _forests, render_expression
+from .codec import OperatorAlphabet, _blocks, render_expression
 from .degrees import DegreeMultiset
 from .errors import (
     ChargeNotOneError,
@@ -164,12 +165,12 @@ def _bounded_multiset(text: str) -> DegreeMultiset:
 
 
 def _write_trees(chunks, fmt: str, multiset: DegreeMultiset) -> None:
-    # The writer for sample and enumerate, of (codes, table) chunks as
+    # The writer for sample and enumerate, of chunks of whole codes as
     # sampling._tree_chunks yields them: each block is written once built.
     if fmt == "prefix" and max(multiset.counts) < 10:
         fmt = "digits"
     write, size = sys.stdout.write, multiset.total_nodes
-    for text in _blocks(_forests(chunks, size, fmt), size, fmt):
+    for text in _blocks(chunks, size, fmt):
         write(text)
 
 
@@ -199,7 +200,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     # enumerate_trees gives [] here, after its size check; this exits 2 first
     if multiset.charge != 1:
         raise NotConstructibleError(multiset.charge)
-    _write_trees([(iter(oracle.enumerate_trees(multiset)), None)], args.format, multiset)
+    _write_trees([bytes(chain.from_iterable(oracle.enumerate_trees(multiset)))], args.format, multiset)
     return EXIT_OK
 
 

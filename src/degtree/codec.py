@@ -6,15 +6,14 @@ complete subtrees.  ``decode_prefix`` and the renderers read a code with
 one O(n) stack pass into flat lists of parents and closed-subtree counts,
 then link nodes or join text from them; nothing recurses, so unary chains
 of millions of nodes are fine, and all raise alike on a malformed code.
-The renderers are one block writer, which the CLI also feeds forests of
-small trees and chunks of large ones.
+The renderers are one block writer, which the CLI also feeds the
+sampler's chunks, flat runs of whole codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import islice, repeat
+from itertools import repeat
 from operator import getitem, index, mul, ne
 from typing import Mapping, Sequence
 
@@ -183,54 +182,41 @@ def encode_prefix(tree: TreeNode) -> list[int]:
     return out
 
 
-def _forests(chunks, size: int, fmt: str):
-    # The codes of chunks, (codes, table) pairs as sampling._tree_chunks
-    # yields them, in lists of as many size-node codes as fill a block, for
-    # digits in bytes: a pass per code doubled the time of 3e5 three-node
-    # trees.  A table, a code a row, is cut into runs of rows.
-    digits = fmt == "digits"
-    per = max((_DIGIT_BLOCK if digits else _BLOCK) // size, 1)
-    for codes, table in chunks:
-        if table is not None:
-            runs = (table[start : start + per] for start in range(0, len(table), per))
-            yield from (run.tobytes() if digits else run.ravel().tolist() for run in runs)
-        elif digits:
-            yield from iter(lambda: bytearray().join(map(bytearray, islice(codes, per))), b"")
-        else:
-            yield from iter(lambda: reduce(list.__iadd__, islice(codes, per), []), []) if per > 1 else codes
-
-
-def _blocks(units, size: int, fmt: str, end: str = "\n"):
-    """Yield the text of ``units``, lists of whole ``size``-node codes, in
-    ``fmt`` (a CLI format, or ``"digits"``: the bytes of codes with every
-    degree below 10, as prefix lines), a block at a time: a unit of whole
-    trees, or a chunk of ``_BLOCK`` nodes of a larger tree (digits are
-    never cut).  Each tree's text ends in ``end``, but a blank line
-    separates dot trees and a newline ends digit lines.  A block fills
-    one list with a fixed number of pieces per node by slice assignment
-    and joins it once.
+def _blocks(chunks, size: int, fmt: str, end: str = "\n"):
+    """Yield the text of ``chunks``, each a flat run of whole ``size``-node
+    codes (``bytes`` for ``"digits"``), in ``fmt`` (a CLI format, or
+    ``"digits"``: codes with every degree below 10, as prefix lines), a
+    block at a time.  A chunk is cut into runs of as many whole trees as
+    fill a block, and a larger tree into runs of ``_BLOCK`` nodes (digits
+    are never cut).  Each tree's text ends in ``end``, but a blank line
+    separates dot trees and a newline ends digit lines.  A block fills one
+    list with a fixed number of pieces per node by slice assignment and
+    joins it once.
     """
     header = "digraph tree {\n  "
-    for unit in units:
+    # whole trees a run (a pass per code doubled the time of 3e5 three-node
+    # trees as digits); an empty code is one run, which _structure refuses
+    per = size * max((_DIGIT_BLOCK if fmt == "digits" else _BLOCK) // (size or 1), 1)
+    for codes in (codes for chunk in chunks for _, codes in _runs(chunk, per)):
         if fmt == "digits":  # each digit, then a space or a newline, is a byte
-            out = bytearray(b" ") * (2 * len(unit))
-            out[::2] = unit.translate(_DIGITS)
-            out[2 * size - 1 :: 2 * size] = b"\n" * (len(unit) // size)
+            out = bytearray(b" ") * (2 * len(codes))
+            out[::2] = codes.translate(_DIGITS)
+            out[2 * size - 1 :: 2 * size] = b"\n" * (len(codes) // size)
             yield out.decode("ascii")  # str, not bytes: output may be any text stream
-        elif fmt == "dot" and len(unit) <= _BLOCK:
-            yield _dot_trees(unit, size, header)
-        elif fmt == "dot":  # chunks of the tree's node lines, then of its edge lines
-            for start, run in _runs(unit, _BLOCK):
+        elif fmt == "dot" and len(codes) <= _BLOCK:
+            yield _dot_trees(codes, size, header)
+        elif fmt == "dot":  # runs of the tree's node lines, then of its edge lines
+            for start, run in _runs(codes, _BLOCK):
                 yield header * (not start) + "".join(_dot_lines(run, start, str))
-            for (parents, _), (start, run) in zip(_structure(unit, size, _BLOCK), _runs(unit, _BLOCK)):
+            for (parents, _), (start, run) in zip(_structure(codes, size, _BLOCK), _runs(codes, _BLOCK)):
                 pieces = _dot_lines(run, start, str, parents)
                 del pieces[: 4 * (not start)]  # the root has no edge
-                if start + _BLOCK >= len(unit):
+                if start + _BLOCK >= len(codes):
                     pieces[-1] = ";\n}\n"
                 yield "".join(pieces)
         else:
-            structure = repeat((None, None)) if fmt == "prefix" else _structure(unit, size, _BLOCK)
-            for (_, closed), (start, run) in zip(structure, _runs(unit, _BLOCK)):
+            structure = repeat((None, None)) if fmt == "prefix" else _structure(codes, size, _BLOCK)
+            for (_, closed), (start, run) in zip(structure, _runs(codes, _BLOCK)):
                 yield _stream_text(run, closed, start, size, fmt, end)
         header = "\ndigraph tree {\n  "
 

@@ -9,13 +9,14 @@ satisfying the multiset.  Each stage is linear in the node count.
 
 The shuffle takes its draws from ``rng._draw_chunks``, for one shuffle
 or a chunk of them, from ``next_below`` or one numpy batch of the same
-words, and its loop only swaps.  A batched chunk whose degrees fit a
-byte becomes one ``uint8`` table, a tree a row (made by a column kernel,
-one numpy step per position, when it holds at least 64 trees and at
-least as many as each has nodes), and one numpy step finds every
-rotation point, the first peak of the prefix charge, and rotates every
-row.  Any other chunk rotates tree by tree, without numpy.  All give the
-same trees from the same draws.
+words, and its loop only swaps.  Each chunk of trees comes out as one
+flat run of whole n-node codes: ``bytes`` when every degree fits a byte,
+else a ``list``.  A batched chunk of bytes is shuffled row by row (or
+by a column kernel, one numpy step per position, when it holds at least
+64 trees and at least as many as each has nodes), and one numpy step
+finds every rotation point, the first peak of the prefix charge, and
+rotates every tree.  Any other chunk rotates tree by tree, without
+numpy.  All give the same trees from the same draws.
 
 Indexing: the rotation point ``k`` returned by ``find_rotation_point`` is
 both the 1-based position of the last symbol of the complete-expression
@@ -25,7 +26,6 @@ in Python slicing terms ``rotate(s, k) == s[k:] + s[:k]``.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterator, Sequence
 
 from .degrees import DegreeMultiset, _charge_peak
@@ -123,14 +123,14 @@ def sample_trees(multiset: DegreeMultiset, source, count: int) -> Iterator[list[
         ValueError: if ``count`` is negative.
         NotConstructibleError: if the multiset charge differs from 1.
     """
-    return chain.from_iterable(trees for trees, _ in _tree_chunks(multiset, source, count))
+    n, chunks = multiset.total_nodes, _tree_chunks(multiset, source, count)
+    return (list(flat[start : start + n]) for flat in chunks for start in range(0, len(flat), n))
 
 
 def _tree_chunks(multiset: DegreeMultiset, source, count: int):
     # The trees of sample_trees chunk by chunk, each chunk used up before the
-    # next is taken, as (trees, table): trees yields lists, and table is the
-    # (trees, nodes) uint8 array of them, or None when they were rotated one
-    # by one.  The checks of sample_trees are made here, at the call.
+    # next is taken, as a flat run of whole codes: bytes, or a list when a
+    # degree is above 255.  The checks of sample_trees are made at the call.
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     total = multiset.charge
@@ -144,22 +144,17 @@ def _chunks(sequence: list[int], source, count: int):
     container = bytearray if n > _BYTE_NODES and top <= 255 else list
     for batch, rows in _draw_chunks(source, range(n, 1, -1), count):
         if batch is None or top > 255:
-            yield _row_trees(sequence, rows), None
-            continue
-        if len(batch) >= max(n, _COLUMN_ROWS):
-            table = _column_table(sequence, batch)
+            flat = []
+            for draws in rows:
+                shuffled = _swapped(list(sequence), draws)
+                flat += rotate(shuffled, find_rotation_point(shuffled))
+            flat = flat if top > 255 else bytes(flat)
+        elif len(batch) >= max(n, _COLUMN_ROWS):
+            flat = _rotated(_column_table(sequence, batch), n)
         else:
-            table = bytearray().join(bytearray(_swapped(container(sequence), draws)) for draws in rows)
-        table = _rotated(table, n)
-        yield (tree.tolist() for tree in table), table
-
-
-def _row_trees(sequence: list[int], rows):
-    for draws in rows:
-        shuffled = _swapped(list(sequence), draws)
-        tree = rotate(shuffled, find_rotation_point(shuffled))
-        del shuffled, draws  # not held while the caller has the tree
-        yield tree
+            shuffles = (bytearray(_swapped(container(sequence), draws)) for draws in rows)
+            flat = _rotated(bytearray().join(shuffles), n)
+        yield flat
 
 
 def _column_table(sequence: list[int], draws):
@@ -184,10 +179,10 @@ def _column_table(sequence: list[int], draws):
     return columns.T
 
 
-def _rotated(table, n: int):
+def _rotated(table, n: int) -> bytes:
     # The rows of table, n-node shuffles (or their bytes), each rotated at
-    # the first peak of its prefix charge: one row by two slices, more by
-    # each row's window of the table set twice side by side.
+    # the first peak of its prefix charge, as bytes: one row by two slices,
+    # more by each row's window of the table set twice side by side.
     import numpy as np
 
     table = np.frombuffer(table, dtype=np.uint8).reshape(-1, n) if isinstance(table, bytearray) else table
@@ -197,8 +192,8 @@ def _rotated(table, n: int):
     del charge
     if len(table) == 1:
         k = int(start[0])
-        return np.concatenate((table[:, k:], table[:, :k]), axis=1)
+        return table[0, k:].tobytes() + table[0, :k].tobytes()
     doubled = np.concatenate((table, table), axis=1)
     row, step = doubled.strides
     windows = np.lib.stride_tricks.as_strided(doubled, (len(table), n + 1, n), (row, step, step), writeable=False)
-    return windows[np.arange(len(table)), start]
+    return windows[np.arange(len(table)), start].tobytes()

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+import struct
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 from .codec import _DIGITS
 from .degrees import DegreeMultiset
@@ -62,17 +63,15 @@ def uniformity_report(
         raise ValueError(f"samples must be positive, got {samples}")
     # _tree_chunks checks the charge, drawing nothing, before the size check
     chunks = _tree_chunks(multiset, source, samples)
-    outcomes = enumerate_trees(multiset)
-    counts = dict.fromkeys(outcomes, 0)
-    for trees, table in chunks:
-        if table is None:  # from the row loop, when numpy need not be loaded
-            for code in map(tuple, trees):
-                if code not in counts:
-                    raise _outside(code)
-                counts[code] += 1
-        else:
-            for code, observed in zip(outcomes, _tally(table, outcomes)):
-                counts[code] += observed
+    counts = dict.fromkeys(enumerate_trees(multiset), 0)
+    records = Counter()
+    for flat in chunks:  # bytes: an enumerated space has no degree above 255
+        records.update(struct.iter_unpack(f"{multiset.total_nodes}s", flat))
+    for (record,), observed in records.items():
+        code = tuple(record)
+        if code not in counts:
+            raise _outside(code)
+        counts[code] = observed
     expected = samples / len(counts)
     chi_square = sum((observed - expected) ** 2 for observed in counts.values())
     chi_square /= expected
@@ -83,25 +82,6 @@ def uniformity_report(
         degrees_of_freedom=len(counts) - 1,
         seed=source.seed,
     )
-
-
-def _tally(table, outcomes: list[tuple[int, ...]]) -> list[int]:
-    # How often each of outcomes, n-node codes in increasing order, occurs
-    # among the rows of the uint8 array table, n-node trees too.  A degree
-    # in an n-node tree is below n, so the digits of a code in base n rank
-    # it in that order, and a row with no equal among the codes is foreign.
-    import numpy as np
-
-    n = table.shape[1]
-    space = np.frombuffer(bytes(chain.from_iterable(outcomes)), dtype=np.uint8)
-    weights = np.array([n**power for power in range(n - 1, -1, -1)], dtype=np.int64)
-    keys = space.reshape(-1, n) @ weights
-    rows = table @ weights
-    found = np.searchsorted(keys, rows)
-    foreign = keys.take(found, mode="clip") != rows
-    if foreign.any():
-        raise _outside(tuple(table[foreign.argmax()].tolist()))
-    return np.bincount(found, minlength=len(keys)).tolist()
 
 
 def _codes_json(codes: list[tuple[int, ...]]) -> str:

@@ -600,6 +600,14 @@ _PINNED_MD5 = [
     # a degree above 255, in two batched chunks
     (["sample", "--degrees", "0:350,2:50,300:1", "--seed", "8", "--count", "200"],
      "263a0c10f288d19dc78901ec0a4f1527"),
+    # 3 trees of 10 nodes draw 27 words, too few for a batch, and are tallied as one chunk
+    (["stats", "--degrees", "0:5,1:2,2:2,3:1", "--samples", "3", "--seed", "1"],
+     "d77222dcb3979e8847c618f2d7e6162e"),
+    # chunks that are lists, with a degree above 255, through the structure pass and the dot writer
+    (["sample", "--degrees", "0:350,2:50,300:1", "--seed", "8", "--count", "200", "--format", "sexpr"],
+     "171be3c7dc22e6b8c4a3446871d9bd47"),
+    (["sample", "--degrees", "0:350,2:50,300:1", "--seed", "8", "--count", "200", "--format", "dot"],
+     "ba570be904efb70d98da50c145ed3a36"),
 ]
 
 
@@ -608,7 +616,7 @@ _PINNED_MD5 = [
     ids=["sample_300000", "enumerate_756", "enumerate_756_json", "fuzz_batched", "fuzz_scalar",
          "enumerate_756_sexpr", "enumerate_756_dot", "forest_json", "forest_dot", "wide_prefix",
          "chunks_sexpr", "chunks_json", "chunks_dot", "column_stats", "column_sample", "byte_swap",
-         "wide_degree"],
+         "wide_degree", "row_stats", "wide_degree_sexpr", "wide_degree_dot"],
 )
 def test_pinned_output_md5(capsys, argv, md5):
     code, out, err = run(argv, capsys)
@@ -700,12 +708,15 @@ print(json.dumps([code, loaded, "secrets" in sys.modules]))
         # 33 nodes draw 32 words, one batch
         (["sample", "--degrees", "0:17,2:16", "--seed", "1"], 0, True),
         (["count", "--degrees", "0:4,2:3"], 0, True),
+        # 3 trees of 10 nodes draw 27 words, too few for a batch; 100 trees are one batch
+        (["stats", "--degrees", "0:5,1:2,2:2,3:1", "--samples", "3", "--seed", "1"], 0, False),
+        (["stats", "--degrees", "0:5,1:2,2:2,3:1", "--samples", "100", "--seed", "1"], 0, True),
         # the only case that draws a seed from entropy
         (["sample", "--degrees", "0:4,1:1,2:1,3:1"], 0, False),
     ],
     ids=["check", "enumerate", "enumerate_json", "enumerate_dot", "enumerate_sexpr", "small_fuzz_expr",
          "small_sample", "help", "usage_error", "infeasible", "batched_sample", "count",
-         "unseeded_sample"],
+         "small_stats", "batched_stats", "unseeded_sample"],
 )
 def test_numpy_is_loaded_only_by_batches_and_count(argv, code, uses_numpy):
     src = str(Path(__file__).resolve().parents[1] / "src")

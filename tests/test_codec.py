@@ -1,5 +1,6 @@
 import inspect
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -258,16 +259,17 @@ class TestBlockWriter:
     @example(DegreeMultiset({0: 1}), 5, 0, 3, "json", 2)
     def test_blocks_equal_the_one_tree_renders(self, multiset, count, seed, block, fmt, cut):
         # degrees up to 12: prefix with every degree below 10 has a writer of
-        # its own.  The trees come as a chunk of lists and a chunk of table
-        # rows, cut anywhere, then the other way round.
+        # its own, which takes bytes.  The trees come as two flat chunks, cut
+        # after any tree, as bytes then a list and the other way round.
         trees = list(sample_trees(multiset, RandomSource(seed), count))
         separator = "\n" if fmt == "dot" else ""  # a blank line between dot trees
         expected = separator.join(map(_ONE_TREE[fmt], trees))
-        table = np.array(trees, dtype=np.uint8)
-        lists_first = [(iter(trees[:cut]), None), (iter(()), table[cut:])]
-        table_first = [(iter(()), table[:cut]), (iter(trees[cut:]), None)]
-        assert _written(lists_first, fmt, multiset, block) == expected
-        assert _written(table_first, fmt, multiset, block) == expected
+        flat = [degree for tree in trees for degree in tree]
+        cut = multiset.total_nodes * (1 + cut % count)
+        kinds = [bytes] if fmt == "prefix" and max(multiset.counts) < 10 else [bytes, list]
+        for first, second in itertools.product(kinds, repeat=2):
+            chunks = [first(flat[:cut]), second(flat[cut:])] if cut < len(flat) else [first(flat)]
+            assert _written(chunks, fmt, multiset, block) == expected, (first, second)
 
     @given(code=st.lists(st.integers(-1, 4), max_size=14), block=st.integers(1, 20))
     def test_malformed_codes_raise_as_decode_prefix_does(self, code, block):
@@ -291,11 +293,13 @@ class TestBlockWriter:
     @pytest.mark.parametrize("fmt", ["sexpr", "json", "dot"])
     def test_large_tree_is_written_in_blocks(self, fmt, monkeypatch):
         # The writer holds less than the tree's text at any time.  The sampler
-        # hands main() a tree drawn beforehand, so the peak is the writer's.
+        # hands main() a tree drawn beforehand, as its one chunk of bytes, so
+        # the peak is the writer's.
         spec = "0:80001,1:60000,2:40000,3:20000"
         tree = sample_tree(cli.parse_degree_spec(spec), RandomSource(2))
         assert len(tree) == 200001
         text_size = len(_ONE_TREE[fmt](tree))
+        chunk = bytes(tree)
 
         class Discard:
             write = staticmethod(len)
@@ -303,7 +307,7 @@ class TestBlockWriter:
             def flush(self):
                 pass
 
-        monkeypatch.setattr(cli, "_tree_chunks", lambda multiset, source, count: iter([(iter([tree]), None)]))
+        monkeypatch.setattr(cli, "_tree_chunks", lambda multiset, source, count: iter([chunk]))
         monkeypatch.setattr(sys, "stdout", Discard())
         argv = ["sample", "--degrees", spec, "--seed", "2", "--format", fmt]
         assert cli.main(argv) == 0  # imports and memoised pieces are not the writer's

@@ -151,18 +151,18 @@ class TestFindRotationPoint:
     def test_matches_decomposition_exhaustively(self, charge_one_family):
         # identity draws (j = i) leave seq in place, so the table kernel
         # rotates seq itself: all of one length as one table, and each
-        # as a table of one row
+        # as a table of one row, into one run of bytes
         by_length = {}
         for seq in charge_one_family:
             k = decompose(seq).complete_prefix_length
             assert 1 <= k <= len(seq)
             assert find_rotation_point(seq) == k
             assert _swapped(list(seq), range(len(seq) - 1, 0, -1)) == list(seq)
-            assert _rotated(bytearray(seq), len(seq)).tolist() == [rotate(seq, k)]
+            assert _rotated(bytearray(seq), len(seq)) == bytes(rotate(seq, k))
             by_length.setdefault(len(seq), []).append(seq)
         for n, family in by_length.items():
-            table = _rotated(np.array(family, dtype=np.uint8), n)
-            assert table.tolist() == [rotate(seq, find_rotation_point(seq)) for seq in family]
+            rotated = (rotate(seq, find_rotation_point(seq)) for seq in family)
+            assert _rotated(np.array(family, dtype=np.uint8), n) == bytes(itertools.chain.from_iterable(rotated))
 
     def test_well_formed_input_is_fixpoint(self, well_formed_family):
         for seq in well_formed_family:
@@ -361,9 +361,26 @@ class TestSampleTrees:
         assert fast.words_consumed == slow._source.words_consumed
 
 
+def _cut(flat, n):
+    """The n-node trees of a flat chunk, as lists."""
+    return [list(flat[start : start + n]) for start in range(0, len(flat), n)]
+
+
+def _record_tables(patch):
+    """The (type, length) of each table the sampler hands _rotated, from now on."""
+    tables = []
+
+    def recorded(table, n, real=sampling._rotated):
+        tables.append((type(table), len(table)))
+        return real(table, n)
+
+    patch.setattr(sampling, "_rotated", recorded)
+    return tables
+
+
 def _column_run(multiset, source, count):
     """The trees of sample_trees, and for each chunk whether the column kernel made it."""
-    trees, columns, calls = [], [], []
+    n, trees, columns, calls = multiset.total_nodes, [], [], []
 
     def recorded(sequence, draws, real=sampling._column_table):
         calls.append(len(draws))
@@ -371,8 +388,9 @@ def _column_run(multiset, source, count):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampling, "_column_table", recorded)
-        for chunk, _ in _tree_chunks(multiset, source, count):
-            trees += chunk
+        for flat in _tree_chunks(multiset, source, count):
+            assert type(flat) is bytes
+            trees += _cut(flat, n)
             columns.append(bool(calls))
             calls.clear()
     return trees, columns
@@ -483,9 +501,10 @@ def _wide_multisets(draw):
 
 class TestTableKernel:
     # Every batched chunk with degrees below 256 is one uint8 table whose rows
-    # one numpy step rotates; every other chunk rotates tree by tree.  Both
-    # give the trees of the public shuffle, rotation point and rotation,
-    # drawn one after another by next_below.
+    # one numpy step rotates into bytes; every other chunk rotates tree by
+    # tree, into bytes or, with a degree above 255, a list.  All give the
+    # trees of the public shuffle, rotation point and rotation, drawn one
+    # after another by next_below.
 
     @given(
         multiset=_wide_multisets(),
@@ -503,43 +522,51 @@ class TestTableKernel:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rng, "_CHUNK_WORDS", chunk_words)
             patch.setattr(sampling, "_BYTE_NODES", byte_nodes)
+            tables = _record_tables(patch)
             fast = RecordingSource(seed)
-            chunks = [(list(trees), table) for trees, table in _tree_chunks(multiset, fast, count)]
+            chunks = list(_tree_chunks(multiset, fast, count))
+        sampled = list(sample_trees(multiset, RandomSource(seed), count))
         slow = ScalarOnly(seed)
-        trees = [tree for chunk, _ in chunks for tree in chunk]
-        assert trees == list(_shuffled_then_rotated(multiset, slow, count))
-        assert all(type(tree) is list and type(tree[0]) is int for tree in trees)
+        kind = bytes if max(multiset.counts) <= 255 else list
+        assert all(type(flat) is kind for flat in chunks)
+        per = max(1, chunk_words // (n - 1))  # trees a chunk
+        assert [len(flat) for flat in chunks] == [n * min(per, count - start) for start in range(0, count, per)]
+        trees = [tree for flat in chunks for tree in _cut(flat, n)]
+        assert trees == list(_shuffled_then_rotated(multiset, slow, count)) == sampled
+        assert all(type(tree) is list and type(tree[0]) is int for tree in sampled)
         assert fast.words_consumed == slow._source.words_consumed == count * (n - 1)
-        tables = [table for _, table in chunks if table is not None]
-        assert len(tables) == (len(fast.batches) if max(multiset.counts) <= 255 else 0)
-        for (chunk, table) in chunks:
-            if table is not None:
-                assert table.dtype == np.uint8 and table.tolist() == chunk
+        assert len(tables) == (len(fast.batches) if kind is bytes else 0)
 
     def test_rewound_chunk_rotates_tree_by_tree(self, monkeypatch):
         # chunks of one row; the seed's first word is 2**64 - 1, which
         # next_below(1025) rejects, so the first chunk is rewound and drawn
         # by next_below, and the second is one batch
         monkeypatch.setattr(rng, "_CHUNK_WORDS", 1024)
+        tables = _record_tables(monkeypatch)
         seed = (_unmix(2**64 - 1) - _GOLDEN) % 2**64
         multiset = _binary_multiset(1025)
         fast, slow = RecordingSource(seed), ScalarOnly(seed)
-        chunks = [(list(trees), table) for trees, table in _tree_chunks(multiset, fast, 2)]
-        assert [table is None for _, table in chunks] == [True, False]
+        chunks = _tree_chunks(multiset, fast, 2)
+        first = next(chunks)
+        assert tables == [] and fast.rewinds == 1
+        second = next(chunks)
+        assert tables == [(bytearray, 1025)] and next(chunks, None) is None
         assert fast.rewinds == 1 and fast.batches == [1024, 1024]
-        trees = [tree for chunk, _ in chunks for tree in chunk]
-        assert trees == list(_shuffled_then_rotated(multiset, slow, 2))
+        assert type(first) is type(second) is bytes
+        assert [list(first), list(second)] == list(_shuffled_then_rotated(multiset, slow, 2))
         assert fast.words_consumed == slow._source.words_consumed == 2 * 1024 + 1
 
     def test_one_row_chunk_of_bytes(self, monkeypatch):
         # 2001 nodes past a lowered byte threshold: one row swapped in a
         # bytearray, rotated by two slices
         monkeypatch.setattr(sampling, "_BYTE_NODES", 2000)
+        tables = _record_tables(monkeypatch)
         multiset = _binary_multiset(2001)
         fast, slow = RecordingSource(9), ScalarOnly(9)
-        ((trees, table),) = _tree_chunks(multiset, fast, 1)
-        assert table.shape == (1, 2001) and fast.batches == [2000]
-        assert list(trees) == list(_shuffled_then_rotated(multiset, slow, 1))
+        (flat,) = _tree_chunks(multiset, fast, 1)
+        assert tables == [(bytearray, 2001)] and fast.batches == [2000]
+        assert type(flat) is bytes
+        assert [list(flat)] == list(_shuffled_then_rotated(multiset, slow, 1))
 
 
 class TestPrefixLawPastEnumeration:

@@ -121,29 +121,30 @@ def test_input_validation():
         uniformity_report(DegreeMultiset({0: 6, 2: 5}), 10, RandomSource(1))
 
 
-def _foreign_table(table, n, real=sampling._rotated):
-    table = real(table, n)
-    table[len(table) // 2] = [0, 0, 2, 2, 0]
-    return table
-
-
-def _foreign_rows(sequence, rows):
-    return iter([[2, 0, 2, 0, 0], [0, 0, 2, 2, 0], [2, 2, 0, 0, 0]])
-
-
 @pytest.mark.parametrize(
-    "kernel, fake, samples",
+    "kernel, samples, calls",
     # 100 trees of 5 nodes in one column chunk, 40 in one chunk of rows
     # swapped one by one, both rotated as a table; 3 trees draw too few
     # words for a batch and are rotated one by one
-    [("_rotated", _foreign_table, 100), ("_rotated", _foreign_table, 40), ("_row_trees", _foreign_rows, 3)],
+    [("_rotated", 100, [500]), ("_rotated", 40, [200]), ("rotate", 3, [5, 5, 5])],
     ids=["column", "row_table", "row"],
 )
-def test_code_outside_the_space_is_an_error(monkeypatch, kernel, fake, samples):
-    # the kernel emits (0, 0, 2, 2, 0), a rotation of a tree but no tree
-    monkeypatch.setattr(sampling, kernel, fake)
+def test_code_outside_the_space_is_an_error(monkeypatch, kernel, samples, calls):
+    # the last tree of the kernel's first output becomes (0, 0, 2, 2, 0), a
+    # rotation of a tree but no tree, in the flat chunk the tally reads
+    real, given = getattr(sampling, kernel), []
+
+    def planted(*args):
+        flat = bytearray(real(*args))
+        if not given:
+            flat[-5:] = [0, 0, 2, 2, 0]
+        given.append(len(flat))
+        return bytes(flat) if kernel == "_rotated" else list(flat)
+
+    monkeypatch.setattr(sampling, kernel, planted)
     with pytest.raises(RuntimeError, match=re.escape("sampled code (0, 0, 2, 2, 0) outside")):
         uniformity_report(DegreeMultiset({0: 3, 2: 2}), samples, RandomSource(1))
+    assert given == calls
 
 
 def test_chunks_of_both_kernels_add_up():
