@@ -18,7 +18,7 @@ from operator import getitem, index, mul, ne
 from typing import Mapping, Sequence
 
 from .errors import MissingArityError, TrailingSymbolsError, TruncatedCodeError
-from .rng import _draw_rows
+from .rng import _draw_chunk
 
 
 @dataclass
@@ -321,7 +321,7 @@ def render_expression(
     for arity in sorted(set(code)):
         alphabet.symbols_for(arity)
     sizes = list(map(len, map(alphabet._table.__getitem__, code)))
-    draws = list(next(_draw_rows(source, sizes, 1)))  # a list: infix reads it twice
+    draws = list(next(_draw_chunk(source, sizes, 1)[1]))  # a list: infix reads it twice
 
     def pick(table):  # the entry each node drew from its arity's row
         return map(getitem, map(table.__getitem__, code), draws)

@@ -6,11 +6,11 @@ The generator is splitmix64 run in counter mode: word ``i`` of a stream is
 Counter mode makes batching trivial: a vectorised batch yields
 bit-identical words to repeated scalar calls, and a consumed batch can be
 undone by rewinding the counter.  The words of row ``r`` in a run of
-rows are known without drawing rows ``0..r-1``, so one kernel draws the
-bounded values of a run of rows, the shuffles of many trees or the
-labels of one expression, from one batch whose rows match the
-``next_below`` chain word for word.  It hands each batch over whole, as
-a 2-D array, for a caller that works on all of its rows at once.
+rows are known without drawing rows ``0..r-1``, so one function draws
+the bounded values of a run of rows, a chunk of the shuffles of many
+trees or the labels of one expression, from one batch whose rows match
+the ``next_below`` chain word for word, and hands it over whole, as a
+2-D array, and row by row.
 
 The generator is hand-rolled rather than borrowed from ``random.Random``
 so that seeded streams are stable across interpreter versions; the golden
@@ -36,9 +36,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 # From about this many words one numpy batch beats the next_below chain.
 _BATCH_WORDS = 32
-# Most words in one draw batch (512 KiB of uint64, plus the shifted copy
-# next_words holds while mixing) unless a single row is longer.
-_CHUNK_WORDS = 1 << 16
 
 
 def _mix(z: int) -> int:
@@ -122,53 +119,38 @@ class RandomSource:
         self._count -= n
 
 
-def _draw_chunks(source, bounds, rows: int):
-    # Yield the draws of ``rows`` rows, each with the values of
-    # [source.next_below(b) for b in bounds]: the bounds n down to 2 of a
-    # Fisher-Yates shuffle, or the symbol counts of expression labels.  They
-    # come chunk by chunk, each chunk to be used up before the next is
-    # taken, as (batch, rows) pairs.  A RandomSource draws a chunk of rows
-    # (at most _CHUNK_WORDS words, or one longer row) with one next_words
-    # batch once the chunk holds _BATCH_WORDS words; batch is then that 2-D
-    # uint64 array of draws and rows yields its rows as memoryviews, whose
-    # items become Python ints one at a time as the caller takes them, where
-    # a list would hold them all at once (about 36 MB for a 1e6-node
-    # shuffle).  A batch with a word that next_below would reject
-    # (probability < len(bounds) * max(bounds) / 2**64 per row) is rewound,
-    # and its rows come from next_below like any other source's, with batch
-    # None, so every path consumes the identical stream.
-    width = len(bounds)
-    per_chunk = max(1, _CHUNK_WORDS // max(1, width))
-    for start in range(0, rows, per_chunk):
-        take = min(per_chunk, rows - start)
-        size = take * width
-        if size >= _BATCH_WORDS and isinstance(source, RandomSource):
-            import numpy as np
+def _draw_chunk(source, bounds, rows: int):
+    # The draws of ``rows`` rows, each with the values of
+    # [source.next_below(b) for b in bounds] (the bounds n down to 2 of a
+    # Fisher-Yates shuffle, or the symbol counts of expression labels), as
+    # a (batch, rows) pair.  A RandomSource draws them in one next_words
+    # batch once they are _BATCH_WORDS words: batch is that 2-D uint64 array
+    # and rows yields its rows as memoryviews, whose items become Python
+    # ints one at a time, where a list would hold them all (about 36 MB for
+    # a 1e6-node shuffle); the caller drops both when done with them.  A
+    # batch with a word that next_below would reject (probability <
+    # len(bounds) * max(bounds) / 2**64 per row) is rewound, and its rows
+    # come from next_below like any other source's, with batch None, so
+    # every path consumes the identical stream.
+    size = rows * len(bounds)
+    if size >= _BATCH_WORDS and isinstance(source, RandomSource):
+        import numpy as np
 
-            words = source.next_words(size).reshape(take, width)
-            if isinstance(bounds, range):
-                limits = np.arange(bounds.start, bounds.stop, bounds.step, dtype=np.uint64)
-            else:
-                limits = np.array(bounds, dtype=np.uint64)
-            # next_below(b) takes words below 2**64 - 2**64 % b, i.e. up to
-            # ~(2**64 % b).  For b <= top that limit is above 2**64 - top, so
-            # one max() clears nearly every batch without the exact test and
-            # its batch-sized temporaries.
-            top = int(limits.max())
-            if not (
-                words.max() > np.uint64(_WORD_SPAN - top)
-                and (words > ~((np.uint64(0) - limits) % limits)).any()
-            ):
-                words %= limits
-                del limits  # not held while the rows are used
-                yield words, map(memoryview, words)
-                continue
-            source.rewind(size)
-        yield None, ((source.next_below(b) for b in bounds) for _ in range(take))
-
-
-def _draw_rows(source, bounds, rows: int):
-    # The rows of _draw_chunks one after another, each to be used up before
-    # the next is taken.
-    for _, chunk in _draw_chunks(source, bounds, rows):
-        yield from chunk
+        words = source.next_words(size).reshape(rows, -1)
+        if isinstance(bounds, range):
+            limits = np.arange(bounds.start, bounds.stop, bounds.step, dtype=np.uint64)
+        else:
+            limits = np.array(bounds, dtype=np.uint64)
+        # next_below(b) takes words below 2**64 - 2**64 % b, i.e. up to
+        # ~(2**64 % b).  For b <= top that limit is above 2**64 - top, so
+        # one max() clears nearly every batch without the exact test and
+        # its batch-sized temporaries.
+        top = int(limits.max())
+        if not (
+            words.max() > np.uint64(_WORD_SPAN - top)
+            and (words > ~((np.uint64(0) - limits) % limits)).any()
+        ):
+            words %= limits
+            return words, map(memoryview, words)
+        source.rewind(size)
+    return None, ((source.next_below(b) for b in bounds) for _ in range(rows))

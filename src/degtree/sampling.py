@@ -7,16 +7,17 @@ sequence exactly one is well-formed (the cycle lemma), and every tree is
 hit by equally many shuffles, so the output is uniform over all trees
 satisfying the multiset.  Each stage is linear in the node count.
 
-The shuffle takes its draws from ``rng._draw_chunks``, for one shuffle
-or a chunk of them, from ``next_below`` or one numpy batch of the same
-words, and its loop only swaps.  Each chunk of trees comes out as one
-flat run of whole n-node codes: ``bytes`` when every degree fits a byte,
-else a ``list``.  A batched chunk of bytes is shuffled row by row (or
-by a column kernel, one numpy step per position, when it holds at least
-64 trees and at least as many as each has nodes), and one numpy step
-finds every rotation point, the first peak of the prefix charge, and
-rotates every tree.  Any other chunk rotates tree by tree, without
-numpy.  All give the same trees from the same draws.
+One loop, ``_chunks``, walks the chunks of a sample.  Each turn takes
+the draws of one shuffle, or of a chunk of them, from one
+``rng._draw_chunk`` call, from ``next_below`` or one numpy batch of the
+same words, and the swap loop only swaps.  The multiset expands to
+``bytes`` when every degree fits a byte, else to a ``list``, and each
+chunk comes out as one flat run of whole n-node codes of the same type.
+A batched chunk of bytes is shuffled row by row, or by a column kernel,
+one numpy step per position, from 64 trees up; its draws are dropped,
+and one numpy step finds every rotation point, the first peak of the
+prefix charge, and rotates every tree.  Any other chunk rotates tree by
+tree, without numpy.  All give the same trees from the same draws.
 
 Indexing: the rotation point ``k`` returned by ``find_rotation_point`` is
 both the 1-based position of the last symbol of the complete-expression
@@ -30,12 +31,14 @@ from typing import Iterator, Sequence
 
 from .degrees import DegreeMultiset, _charge_peak
 from .errors import NotConstructibleError
-from .rng import _draw_chunks, _draw_rows
+from .rng import _draw_chunk
 
-# The fewest trees a batched chunk of sample_trees must hold, besides at
-# least as many trees as each has nodes, to go to the column kernel, which
-# pays numpy's per-call cost once per position rather than Python's once
-# per node.  It broke even between 28 and 64 rows of 8-120 nodes.
+# Most words one chunk of sample_trees draws (512 KiB of uint64, plus the
+# shifted copy next_words holds while mixing) unless a single row is longer.
+_CHUNK_WORDS = 1 << 16
+# The fewest trees a batched chunk of bytes must hold to go to the column
+# kernel, which pays numpy's per-call cost once per position rather than
+# Python's once per node.  It broke even at 28-64 rows of 8-1000 nodes.
 _COLUMN_ROWS = 64
 # From one more node than this a tree whose degrees fit a byte is swapped
 # in a bytearray, where its list of pointers outgrows a core's L2 cache.
@@ -52,7 +55,7 @@ def fisher_yates_shuffle(degrees: Sequence, source) -> list:
     batch over the identical word stream once there are enough of them.
     The items may be of any kind.
     """
-    return _swapped(list(degrees), next(_draw_rows(source, range(len(degrees), 1, -1), 1)))
+    return _swapped(list(degrees), next(_draw_chunk(source, range(len(degrees), 1, -1), 1)[1]))
 
 
 def _swapped(values, draws):
@@ -136,38 +139,48 @@ def _tree_chunks(multiset: DegreeMultiset, source, count: int):
     total = multiset.charge
     if total != 1:
         raise NotConstructibleError(total)
-    return _chunks(multiset.to_sequence(), source, count)
+    counts = multiset.counts
+    if max(counts) > 255:
+        return _chunks(multiset.to_sequence(), source, count)
+    return _chunks(b"".join(bytes([d]) * m for d, m in counts.items()), source, count)
 
 
-def _chunks(sequence: list[int], source, count: int):
-    n, top = len(sequence), sequence[-1]
-    container = bytearray if n > _BYTE_NODES and top <= 255 else list
-    for batch, rows in _draw_chunks(source, range(n, 1, -1), count):
-        if batch is None or top > 255:
+def _chunks(sequence, source, count: int):
+    # The one loop over the chunks of sample_trees, from the canonical
+    # sequence as bytes, or as a list when a degree is above 255.  Each turn
+    # draws one chunk and drops its draws before rotating it.
+    n, wide = len(sequence), type(sequence) is list
+    container = bytearray if n > _BYTE_NODES else list
+    bounds, per_chunk = range(n, 1, -1), max(1, _CHUNK_WORDS // max(1, n - 1))
+    for start in range(0, count, per_chunk):
+        batch, rows = _draw_chunk(source, bounds, min(per_chunk, count - start))
+        rotated = batch is None or wide
+        if rotated:
             flat = []
             for draws in rows:
                 shuffled = _swapped(list(sequence), draws)
                 flat += rotate(shuffled, find_rotation_point(shuffled))
-            flat = flat if top > 255 else bytes(flat)
-        elif len(batch) >= max(n, _COLUMN_ROWS):
-            flat = _rotated(_column_table(sequence, batch), n)
+            flat = flat if wide else bytes(flat)
+        elif len(batch) >= _COLUMN_ROWS:
+            flat = _column_table(sequence, batch)
         else:
-            shuffles = (bytearray(_swapped(container(sequence), draws)) for draws in rows)
-            flat = _rotated(bytearray().join(shuffles), n)
+            flat = bytearray().join(bytearray(_swapped(container(sequence), draws)) for draws in rows)
+        del batch, rows
+        if not rotated:
+            flat = _rotated(flat, n)
         yield flat
 
 
-def _column_table(sequence: list[int], draws):
-    # The shuffles _swapped makes from the rows of draws, a uint64 array of
-    # at least n = len(sequence) rows, as a (rows, n) uint8 array.  Each
-    # swap runs across every row: position i of all trees is the contiguous
-    # row columns[i], and draw j of row r indexes the flat array at
-    # j * rows + r.
+def _column_table(sequence: bytes, draws):
+    # The shuffles _swapped makes from the rows of draws, a uint64 array, as
+    # a (rows, n) uint8 array.  Each swap runs across every row: position i
+    # of all trees is the contiguous row columns[i], and draw j of row r
+    # indexes the flat array at j * rows + r.
     import numpy as np
 
     rows, n = draws.shape[0], len(sequence)
     columns = np.empty((n, rows), dtype=np.uint8)
-    columns[:] = np.array(sequence, dtype=np.uint8)[:, None]
+    columns[:] = np.frombuffer(sequence, dtype=np.uint8)[:, None]
     flat = columns.reshape(-1)
     at = draws.T.copy()
     at *= np.uint64(rows)

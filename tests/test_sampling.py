@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -299,7 +300,7 @@ class TestSampleTrees:
     def test_chunk_boundaries_keep_the_stream(self, size, monkeypatch):
         # 50-word chunks: 5 rows of 10 nodes (the last chunk of 3 rows is
         # too small to batch), or one 40-node row per chunk
-        monkeypatch.setattr(rng, "_CHUNK_WORDS", 50)
+        monkeypatch.setattr(sampling, "_CHUNK_WORDS", 50)
         multiset = _binary_multiset(size)
         batched, sequential = RecordingSource(3), RandomSource(3)
         trees = list(sample_trees(multiset, batched, 143))
@@ -330,7 +331,26 @@ class TestSampleTrees:
         source = RandomSource(7)
         first = next(sample_trees(multiset, source, 10**9))
         assert first == sample_tree(multiset, RandomSource(7))
-        assert source.words_consumed <= rng._CHUNK_WORDS
+        assert source.words_consumed <= sampling._CHUNK_WORDS
+
+    @pytest.mark.parametrize(
+        "counts, count",
+        # one 200 001-node tree, and a column chunk of 7281 10-node trees
+        [({0: 100_001, 2: 100_000}, 1), ({0: 5, 1: 2, 2: 2, 3: 1}, 20_000)],
+    )
+    def test_holds_one_chunk(self, counts, count):
+        # besides the chunk it hands on, the sampler holds the canonical
+        # sequence as bytes: no list of it, no draws and no shuffled table
+        multiset = DegreeMultiset(counts)
+        next(_tree_chunks(multiset, RandomSource(2), count))  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            chunks = _tree_chunks(multiset, RandomSource(3), count)
+            flat = next(chunks)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / len(flat) < 4
 
     @pytest.mark.parametrize("size", [1023, 1024, 1025, 5000, 100_000])
     def test_equals_shuffle_then_rotate(self, size):
@@ -406,14 +426,14 @@ def _charge_one_multisets(draw, widths):
 
 
 class TestColumnKernel:
-    # Chunks of at least 64 rows, and at least as many rows as nodes, are
-    # shuffled by the column kernel; ScalarOnly draws every tree through
-    # next_below and the row loop.
+    # Batched chunks of bytes of at least 64 rows are shuffled by the column
+    # kernel; ScalarOnly draws every tree through next_below and the row
+    # loop.
 
     @given(_charge_one_multisets(st.integers(1, 40)), st.integers(0, 100), st.integers(0, 2**64 - 1))
     def test_equals_row_loop_on_one_stream(self, multiset, extra, seed):
         n = multiset.total_nodes
-        count = max(n, _COLUMN_ROWS) + extra
+        count = _COLUMN_ROWS + extra
         column, scalar = RecordingSource(seed), ScalarOnly(seed)
         trees, columns = _column_run(multiset, column, count)
         assert columns == [True]
@@ -432,7 +452,7 @@ class TestColumnKernel:
         # few words for a batch, takes the row loop
         n = multiset.total_nodes
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rng, "_CHUNK_WORDS", chunk_rows * (n - 1))
+            patch.setattr(sampling, "_CHUNK_WORDS", chunk_rows * (n - 1))
             column, scalar = RecordingSource(seed), ScalarOnly(seed)
             trees, columns = _column_run(multiset, column, count)
         assert trees == list(sample_trees(multiset, scalar, count))
@@ -460,9 +480,9 @@ class TestColumnKernel:
 
     @pytest.mark.parametrize(
         "size, count, column",
-        # just below and at the crossover: rows of 10-node trees, then
-        # rows of 100-node trees, which need as many rows as nodes
-        [(10, 63, False), (10, 64, True), (100, 99, False), (100, 100, True)],
+        # just below and at the crossover, whatever the width: rows of
+        # 10-node trees, then rows of 100-node trees
+        [(10, 63, False), (10, 64, True), (100, 63, False), (100, 64, True)],
     )
     def test_the_row_loop_takes_chunks_below_the_crossover(self, size, count, column):
         multiset = _binary_multiset(size)
@@ -471,8 +491,17 @@ class TestColumnKernel:
         assert trees == list(sample_trees(multiset, slow, count))
         assert columns == [column] and fast.batches == [count * (size - 1)]
 
+    def test_fewer_rows_than_nodes(self):
+        # 65 rows of 1000-node trees, 64 935 words: one chunk
+        multiset = _binary_multiset(1000)
+        fast, slow = RecordingSource(13), ScalarOnly(13)
+        trees, columns = _column_run(multiset, fast, 65)
+        assert columns == [True] and fast.batches == [65 * 999]
+        assert trees == list(sample_trees(multiset, slow, 65))
+
     def test_widest_column_chunk_holds_a_degree_of_255(self):
-        # 256 rows of 255 words fill one chunk, the widest the kernel takes
+        # 256 rows of 255 words fill one chunk, with the widest degree that
+        # fits a byte
         multiset = DegreeMultiset({0: 255, 255: 1})
         fast, slow = RecordingSource(6), ScalarOnly(6)
         trees, columns = _column_run(multiset, fast, 256)
@@ -520,7 +549,7 @@ class TestTableKernel:
         # byte_nodes nodes are swapped in a bytearray
         n = multiset.total_nodes
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rng, "_CHUNK_WORDS", chunk_words)
+            patch.setattr(sampling, "_CHUNK_WORDS", chunk_words)
             patch.setattr(sampling, "_BYTE_NODES", byte_nodes)
             tables = _record_tables(patch)
             fast = RecordingSource(seed)
@@ -541,7 +570,7 @@ class TestTableKernel:
         # chunks of one row; the seed's first word is 2**64 - 1, which
         # next_below(1025) rejects, so the first chunk is rewound and drawn
         # by next_below, and the second is one batch
-        monkeypatch.setattr(rng, "_CHUNK_WORDS", 1024)
+        monkeypatch.setattr(sampling, "_CHUNK_WORDS", 1024)
         tables = _record_tables(monkeypatch)
         seed = (_unmix(2**64 - 1) - _GOLDEN) % 2**64
         multiset = _binary_multiset(1025)
