@@ -19,7 +19,7 @@ import sys
 from itertools import chain
 from typing import Sequence
 
-from .codec import OperatorAlphabet, _blocks, render_expression
+from .codec import OperatorAlphabet, _blocks
 from .degrees import DegreeMultiset
 from .errors import (
     ChargeNotOneError,
@@ -30,6 +30,7 @@ from .errors import (
 )
 from . import oracle
 from .rng import RandomSource
+# sample_tree unused here; bench test_names_rebound_by_import_are_traced wraps cli.sample_tree
 from .sampling import _tree_chunks, sample_tree
 from .stats import uniformity_report
 
@@ -62,7 +63,9 @@ class _TooManyNodesError(Exception):
 def parse_degree_spec(text: str) -> DegreeMultiset:
     """Parse ``0,0,1,2`` (list form) or ``0:2,1:1,2:1`` (multiset form).
 
-    Multiset entries for a repeated degree accumulate; each entry's
+    Each degree and multiplicity is an optional sign and ASCII digits
+    ``0-9``; spaces around an entry or its ``:`` are ignored.  Multiset
+    entries for a repeated degree accumulate; each entry's
     multiplicity must be at least 1.  Both forms of the
     same multiset behave identically downstream because sampling sorts the
     expansion before shuffling.
@@ -76,8 +79,8 @@ def parse_degree_spec(text: str) -> DegreeMultiset:
             degree_text, sep, mult_text = piece.partition(":")
             if not sep:
                 raise DegreeSpecError(f"cannot mix list and degree:multiplicity entries in {text!r}")
-            degree = _parse_int(degree_text, text)
-            multiplicity = _parse_int(mult_text, text)
+            degree = _parse_int(degree_text.strip(), text)
+            multiplicity = _parse_int(mult_text.strip(), text)
             if multiplicity < 1:
                 raise DegreeSpecError(
                     f"multiplicity of degree {degree} must be positive, got {multiplicity} in {text!r}"
@@ -93,16 +96,25 @@ def parse_degree_spec(text: str) -> DegreeMultiset:
         raise DegreeSpecError(f"bad degree spec {text!r}: {exc}") from exc
 
 
+def _integer(text: str) -> int | None:
+    """The integer ``text`` spells as an optional sign and ASCII digits
+    ``0-9``, or None for any other text, such as other scripts' digits,
+    underscores or spaces.  Past Python's int-to-str digit limit (3.11 and
+    later) ``int`` raises ValueError.
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
 def _parse_int(piece: str, spec: str) -> int:
     try:
-        return int(piece)
+        value = _integer(piece)
     except ValueError:
-        # int() refuses more digits than this limit (Python 3.11 and later)
-        digits = piece.strip().lstrip("+-").replace("_", "")
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digits.isdecimal() and 0 < limit < len(digits):
-        raise DegreeSpecError(f"{len(digits)}-digit entry in degree spec exceeds Python's {limit}-digit limit")
-    raise DegreeSpecError(f"non-integer entry {piece!r} in degree spec {spec!r}")
+        digits, limit = len(piece.lstrip("+-")), sys.get_int_max_str_digits()
+        raise DegreeSpecError(f"{digits}-digit entry in degree spec exceeds Python's {limit}-digit limit") from None
+    if value is None:
+        raise DegreeSpecError(f"non-integer entry {piece!r} in degree spec {spec!r}")
+    return value
 
 
 def load_alphabet(path: str) -> OperatorAlphabet:
@@ -137,11 +149,21 @@ def load_alphabet(path: str) -> OperatorAlphabet:
 def _positive(text: str) -> int:
     """argparse ``type=`` accepting a positive integer."""
     try:
-        if (value := int(text)) >= 1:
+        if (value := _integer(text) or 0) >= 1:
             return value
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _seed(text: str) -> int:
+    """argparse ``type=`` accepting an integer; RandomSource checks its range."""
+    try:
+        if (value := _integer(text)) is not None:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _make_source(seed: int | None) -> RandomSource:
@@ -164,13 +186,13 @@ def _bounded_multiset(text: str) -> DegreeMultiset:
     return multiset
 
 
-def _write_trees(chunks, fmt: str, multiset: DegreeMultiset) -> None:
-    # The writer for sample and enumerate, of chunks of whole codes as
+def _write_trees(chunks, fmt: str, multiset: DegreeMultiset, alphabet: OperatorAlphabet | None = None) -> None:
+    # The writer for sample, enumerate and fuzz-expr, of chunks as
     # sampling._tree_chunks yields them: each block is written once built.
-    if fmt == "prefix" and max(multiset.counts) < 10:
+    if fmt == "prefix" and alphabet is None and max(multiset.counts) < 10:
         fmt = "digits"
     write, size = sys.stdout.write, multiset.total_nodes
-    for text in _blocks(chunks, size, fmt):
+    for text in _blocks(chunks, size, fmt, alphabet=alphabet):
         write(text)
 
 
@@ -219,11 +241,9 @@ def _cmd_fuzz_expr(args: argparse.Namespace) -> int:
     # can be rejected before any output
     for degree in multiset.counts:
         alphabet.symbols_for(degree)
+    labels = {degree: alphabet._ids[degree] for degree in multiset.counts}
     source = _make_source(args.seed)
-    # one tree at a time: render_expression draws from source, and sample_trees draws ahead
-    for _ in range(args.count):
-        code = sample_tree(multiset, source)
-        print(render_expression(code, alphabet, source, style=args.style))
+    _write_trees(_tree_chunks(multiset, source, args.count, labels), args.style, multiset, alphabet)
     return EXIT_OK
 
 
@@ -264,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("check", _cmd_check, "report charge and feasibility")
 
     sample = add("sample", _cmd_sample, "draw uniformly random trees")
-    sample.add_argument("--seed", type=int, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
+    sample.add_argument("--seed", type=_seed, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
     sample.add_argument("--count", type=_positive, default=1, metavar="N", help="number of trees (default 1)")
     sample.add_argument("--format", choices=_FORMATS, default="prefix")
 
@@ -275,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = add("stats", _cmd_stats, "sample repeatedly and report observed frequencies")
     stats.add_argument("--samples", type=_positive, required=True, metavar="N")
-    stats.add_argument("--seed", type=int, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
+    stats.add_argument("--seed", type=_seed, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
 
     fuzz = add("fuzz-expr", _cmd_fuzz_expr, "render random trees as operator expressions")
     fuzz.add_argument("--alphabet", required=True, metavar="FILE", help="JSON map from arity to symbol list")
-    fuzz.add_argument("--seed", type=int, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
+    fuzz.add_argument("--seed", type=_seed, default=None, help="64-bit seed (default: entropy, echoed on stderr)")
     fuzz.add_argument("--count", type=_positive, default=1, metavar="N")
     fuzz.add_argument("--style", choices=("prefix", "infix"), default="prefix")
 

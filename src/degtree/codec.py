@@ -49,11 +49,17 @@ class OperatorAlphabet:
                 raise ValueError(f"arity {arity} has non-string symbols")
             table[int(arity)] = choices
         self._table = table
-        # each symbol's infix text: what opens its node, and what parts its children
-        self._opens = {a: ("(",) * len(row) if a == 2 else tuple([s + "(" for s in row]) if a else row
-                       for a, row in table.items()}
-        self._joins = {a: tuple([f" {s} " for s in row]) if a == 2 else (", ",) * len(row)
-                       for a, row in table.items()}
+        # Each symbol has an id: its position in the arities' rows laid end
+        # to end.  Per id, the symbol, and its infix text: what opens its
+        # node, and what parts its children ("" for a leaf, which has none,
+        # and whose join a root reads).
+        self._ids: dict[int, range] = {}
+        self._symbols, self._opens, self._joins = [], [], []
+        for a, row in table.items():
+            self._ids[a] = range(len(self._symbols), len(self._symbols) + len(row))
+            self._symbols += row
+            self._opens += ("(",) * len(row) if a == 2 else [s + "(" for s in row] if a else row
+            self._joins += [f" {s} " for s in row] if a == 2 else (", " * (a > 0),) * len(row)
 
     def symbols_for(self, arity: int) -> tuple[str, ...]:
         """Candidate spellings for ``arity``; raises MissingArityError if none."""
@@ -182,43 +188,53 @@ def encode_prefix(tree: TreeNode) -> list[int]:
     return out
 
 
-def _blocks(chunks, size: int, fmt: str, end: str = "\n"):
+def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
     """Yield the text of ``chunks``, each a flat run of whole ``size``-node
     codes (``bytes`` for ``"digits"``), in ``fmt`` (a CLI format, or
     ``"digits"``: codes with every degree below 10, as prefix lines), a
-    block at a time.  A chunk is cut into runs of as many whole trees as
-    fill a block, and a larger tree into runs of ``_BLOCK`` nodes (digits
-    are never cut).  Each tree's text ends in ``end``, but a blank line
-    separates dot trees and a newline ends digit lines.  A block fills one
-    list with a fixed number of pieces per node by slice assignment and
-    joins it once.
+    block at a time.  Given an ``alphabet``, ``fmt`` is an expression
+    style, ``"prefix"`` or ``"infix"``, and each chunk is a pair: the codes
+    and a list of the id of each node's symbol (see ``OperatorAlphabet``).
+    A chunk is cut into runs of as many whole trees as fill a block, and a
+    larger tree into runs of ``_BLOCK`` nodes (digits are never cut).  Each
+    tree's text ends in ``end``, but a blank line separates dot trees and a
+    newline ends digit lines.  A block fills one list with a fixed number
+    of pieces per node by slice assignment and joins it once.
     """
     header = "digraph tree {\n  "
     # whole trees a run (a pass per code doubled the time of 3e5 three-node
     # trees as digits); an empty code is one run, which _structure refuses
     per = size * max((_DIGIT_BLOCK if fmt == "digits" else _BLOCK) // (size or 1), 1)
-    for codes in (codes for chunk in chunks for _, codes in _runs(chunk, per)):
-        if fmt == "digits":  # each digit, then a space or a newline, is a byte
-            out = bytearray(b" ") * (2 * len(codes))
-            out[::2] = codes.translate(_DIGITS)
-            out[2 * size - 1 :: 2 * size] = b"\n" * (len(codes) // size)
-            yield out.decode("ascii")  # str, not bytes: output may be any text stream
-        elif fmt == "dot" and len(codes) <= _BLOCK:
-            yield _dot_trees(codes, size, header)
-        elif fmt == "dot":  # runs of the tree's node lines, then of its edge lines
-            for start, run in _runs(codes, _BLOCK):
-                yield header * (not start) + "".join(_dot_lines(run, start, str))
-            for (parents, _), (start, run) in zip(_structure(codes, size, _BLOCK), _runs(codes, _BLOCK)):
-                pieces = _dot_lines(run, start, str, parents)
-                del pieces[: 4 * (not start)]  # the root has no edge
-                if start + _BLOCK >= len(codes):
-                    pieces[-1] = ";\n}\n"
-                yield "".join(pieces)
-        else:
-            structure = repeat((None, None)) if fmt == "prefix" else _structure(codes, size, _BLOCK)
-            for (_, closed), (start, run) in zip(structure, _runs(codes, _BLOCK)):
-                yield _stream_text(run, closed, start, size, fmt, end)
-        header = "\ndigraph tree {\n  "
+    for chunk in chunks:
+        chunk, marks = chunk if alphabet else (chunk, None)
+        for first, codes in _runs(chunk, per):
+            if fmt == "digits":  # each digit, then a space or a newline, is a byte
+                out = bytearray(b" ") * (2 * len(codes))
+                out[::2] = codes.translate(_DIGITS)
+                out[2 * size - 1 :: 2 * size] = b"\n" * (len(codes) // size)
+                yield out.decode("ascii")  # str, not bytes: output may be any text stream
+            elif fmt == "dot" and len(codes) <= _BLOCK:
+                yield _dot_trees(codes, size, header)
+            elif fmt == "dot":  # runs of the tree's node lines, then of its edge lines
+                for start, run in _runs(codes, _BLOCK):
+                    yield header * (not start) + "".join(_dot_lines(run, start, str))
+                for (parents, _), (start, run) in zip(_structure(codes, size, _BLOCK), _runs(codes, _BLOCK)):
+                    pieces = _dot_lines(run, start, str, parents)
+                    del pieces[: 4 * (not start)]  # the root has no edge
+                    if start + _BLOCK >= len(codes):
+                        pieces[-1] = ";\n}\n"
+                    yield "".join(pieces)
+            else:
+                labels = alphabet and marks[first : first + len(codes)]
+                structure = repeat((None, None)) if fmt == "prefix" else _structure(codes, size, _BLOCK)
+                for (parents, closed), (start, run) in zip(structure, _runs(codes, _BLOCK)):
+                    if alphabet:
+                        slots = _expression_slots(alphabet, fmt, labels, parents, closed, start, run)
+                    else:
+                        tables = zip(_STREAMS[fmt], (run, closed, run))
+                        slots = [None if t is None else map(t.__getitem__, v) for t, v in tables]
+                    yield _stream_text(slots, len(run), start, size, end)
+            header = "\ndigraph tree {\n  "
 
 
 # Per stream format, the table of each piece of a node: of its outdegree,
@@ -230,16 +246,32 @@ _STREAMS = {
 }
 
 
-def _stream_text(run, closed, start: int, size: int, fmt: str, end: str) -> str:
-    # The text of a run of nodes from position start in a stream of size-node codes.
+def _expression_slots(alphabet, style, labels, parents, closed, start, run):
+    # The pieces of a run of expression nodes from position start in a run
+    # of codes whose symbol ids are labels, as _stream_text takes them.
+    # Prefix: each node's symbol, then a space.  Infix: what parts a node
+    # from an earlier sibling (its parent's join), what opens it, the nodes
+    # whose last subtree ends at it, then nothing.
+    ids = labels[start : start + len(run)]
+    if style == "prefix":
+        return [map(alphabet._symbols.__getitem__, ids), None]
+    # A root's parent, -1, names the last node of the codes, a leaf, whose join is "".
+    joins = map(alphabet._joins.__getitem__, map(labels.__getitem__, parents))
+    parted = map(ne, parents, range(start - 1, start + len(run) - 1))  # not a first child
+    closes = map(_SEXPR_CLOSE.__getitem__, closed)
+    return [map(mul, joins, parted), map(alphabet._opens.__getitem__, ids), closes, ("",) * len(run)]
+
+
+def _stream_text(slots, length: int, start: int, size: int, end: str) -> str:
+    # The text of a run of length nodes from position start in a stream of
+    # size-node codes, from the pieces of each slot of a node (None: a space).
     first = (size - 1 - start) % size  # the first node of the run that ends a tree
-    ends = len(range(first, len(run), size))
-    tables = _STREAMS[fmt]
-    width = len(tables)
-    pieces = [" "] * (width * len(run))
-    for slot, table, values in zip(range(width), tables, (run, closed, run)):
-        if table is not None:
-            pieces[slot::width] = map(table.__getitem__, values)
+    ends = len(range(first, length, size))
+    width = len(slots)
+    pieces = [" "] * (width * length)
+    for slot, values in enumerate(slots):
+        if values is not None:
+            pieces[slot::width] = values
     pieces[width * (first + 1) - 1 :: width * size] = [end] * ends
     return "".join(pieces)
 
@@ -317,22 +349,10 @@ def render_expression(
     """
     if style not in ("prefix", "infix"):
         raise ValueError(f"unknown style {style!r}")
-    parents, closed = next(_structure(code))
+    for _ in _structure(code, 0, _BLOCK):
+        pass
     for arity in sorted(set(code)):
         alphabet.symbols_for(arity)
-    sizes = list(map(len, map(alphabet._table.__getitem__, code)))
-    draws = list(next(_draw_chunk(source, sizes, 1)[1]))  # a list: infix reads it twice
-
-    def pick(table):  # the entry each node drew from its arity's row
-        return map(getitem, map(table.__getitem__, code), draws)
-
-    if style == "prefix":
-        return " ".join(pick(alphabet._table))
-    # each node opens after its parent's separator, if it has an earlier
-    # sibling, and closes the nodes whose last subtree ends at it
-    joins = list(pick(alphabet._joins))
-    pieces = [""] * (3 * len(code))
-    pieces[::3] = map(mul, map(joins.__getitem__, parents), map(ne, parents, range(-1, len(code) - 1)))
-    pieces[1::3] = pick(alphabet._opens)
-    pieces[2::3] = map(_SEXPR_CLOSE.__getitem__, closed)
-    return "".join(pieces)
+    ranges = list(map(alphabet._ids.__getitem__, code))
+    draws = next(_draw_chunk(source, list(map(len, ranges)), 1)[1])
+    return "".join(_blocks([(code, list(map(getitem, ranges, draws)))], len(code), style, "", alphabet))

@@ -18,6 +18,10 @@ one numpy step per position, from 64 trees up; its draws are dropped,
 and one numpy step finds every rotation point, the first peak of the
 prefix charge, and rotates every tree.  Any other chunk rotates tree by
 tree, without numpy.  All give the same trees from the same draws.
+``fuzz-expr`` takes the same loop: each tree's label draws follow its
+shuffle's in the stream, so a batched chunk draws both in one batch,
+looks up each label's bound from the rotated trees, and hands the
+chunk on with a label id per node.
 
 Indexing: the rotation point ``k`` returned by ``find_rotation_point`` is
 both the 1-based position of the last symbol of the complete-expression
@@ -27,11 +31,12 @@ in Python slicing terms ``rotate(s, k) == s[k:] + s[:k]``.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 from .degrees import DegreeMultiset, _charge_peak
 from .errors import NotConstructibleError
-from .rng import _draw_chunk
+from .rng import _draw_chunk, _reduced
 
 # Most words one chunk of sample_trees draws (512 KiB of uint64, plus the
 # shifted copy next_words holds while mixing) unless a single row is longer.
@@ -130,10 +135,11 @@ def sample_trees(multiset: DegreeMultiset, source, count: int) -> Iterator[list[
     return (list(flat[start : start + n]) for flat in chunks for start in range(0, len(flat), n))
 
 
-def _tree_chunks(multiset: DegreeMultiset, source, count: int):
+def _tree_chunks(multiset: DegreeMultiset, source, count: int, labels=None):
     # The trees of sample_trees chunk by chunk, each chunk used up before the
     # next is taken, as a flat run of whole codes: bytes, or a list when a
-    # degree is above 255.  The checks of sample_trees are made at the call.
+    # degree is above 255; with labels, as _chunks gives them.  The checks of
+    # sample_trees are made at the call.
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     total = multiset.charge
@@ -141,34 +147,70 @@ def _tree_chunks(multiset: DegreeMultiset, source, count: int):
         raise NotConstructibleError(total)
     counts = multiset.counts
     if max(counts) > 255:
-        return _chunks(multiset.to_sequence(), source, count)
-    return _chunks(b"".join(bytes([d]) * m for d, m in counts.items()), source, count)
+        return _chunks(multiset.to_sequence(), source, count, labels)
+    return _chunks(b"".join(bytes([d]) * m for d, m in counts.items()), source, count, labels)
 
 
-def _chunks(sequence, source, count: int):
+def _chunks(sequence, source, count: int, labels=None):
     # The one loop over the chunks of sample_trees, from the canonical
     # sequence as bytes, or as a list when a degree is above 255.  Each turn
-    # draws one chunk and drops its draws before rotating it.
+    # draws one chunk and drops its shuffle draws before rotating it.  With
+    # labels, a map from each degree to a range of label ids, each node
+    # draws an id from its degree's range by one of n words that follow
+    # its tree's n - 1 shuffle words, and each turn yields the chunk and a
+    # flat list of its ids.  A batch holds both draws of every tree; a
+    # label word that next_below would reject rewinds it whole, to be drawn
+    # again tree by tree.
     n, wide = len(sequence), type(sequence) is list
     container = bytearray if n > _BYTE_NODES else list
     bounds, per_chunk = range(n, 1, -1), max(1, _CHUNK_WORDS // max(1, n - 1))
+    width = 2 * n - 1 if labels else n - 1
     for start in range(0, count, per_chunk):
-        batch, rows = _draw_chunk(source, bounds, min(per_chunk, count - start))
+        rows = min(per_chunk, count - start)
+        batch, draws = _draw_chunk(source, bounds, rows, width)
+        marks = [] if batch is None or not labels else batch[:, n - 1 :]
         rotated = batch is None or wide
         if rotated:
             flat = []
-            for draws in rows:
-                shuffled = _swapped(list(sequence), draws)
-                flat += rotate(shuffled, find_rotation_point(shuffled))
+            for row in draws:
+                shuffled = _swapped(list(sequence), row)
+                code = rotate(shuffled, find_rotation_point(shuffled))
+                flat += code
+                if labels and batch is None:
+                    ranges = map(labels.__getitem__, code)
+                    marks += [r[source.next_below(len(r))] for r in ranges]
             flat = flat if wide else bytes(flat)
         elif len(batch) >= _COLUMN_ROWS:
-            flat = _column_table(sequence, batch)
+            flat = _column_table(sequence, batch[:, : n - 1])
         else:
-            flat = bytearray().join(bytearray(_swapped(container(sequence), draws)) for draws in rows)
-        del batch, rows
+            flat = bytearray().join(bytearray(_swapped(container(sequence), row)) for row in draws)
+        del batch, draws
         if not rotated:
             flat = _rotated(flat, n)
-        yield flat
+        if not labels:
+            yield flat
+        # ids drawn tree by tree above, or from the batch's label words
+        elif type(marks) is list or (marks := _label_ids(marks, flat, labels)) is not None:
+            yield flat, marks
+        else:
+            source.rewind(rows * width)
+            # a source that is no RandomSource is drawn from by next_below alone
+            yield from _chunks(sequence, SimpleNamespace(next_below=source.next_below), rows, labels)
+
+
+def _label_ids(words, flat, labels):
+    # The label ids of a chunk's rotated codes flat from its label words, as
+    # a flat list; None if next_below would reject a word against the size
+    # of its node's range.
+    import numpy as np
+
+    degrees = sorted(labels)
+    codes = np.array(flat) if type(flat) is list else np.frombuffer(flat, dtype=np.uint8)
+    at = np.searchsorted(degrees, codes).reshape(words.shape)
+    if not _reduced(words, np.array([len(labels[d]) for d in degrees], dtype=np.uint64)[at]):
+        return None
+    words += np.array([labels[d].start for d in degrees], dtype=np.uint64)[at]
+    return words.reshape(-1).tolist()
 
 
 def _column_table(sequence: bytes, draws):

@@ -11,12 +11,16 @@ from pathlib import Path
 
 import pytest
 
+from conftest import RecordingSource, unmix
 from degtree import cli
 from degtree.cli import main, parse_degree_spec
-from degtree import DegreeMultiset, RandomSource, enumerate_trees, sample_trees
+from degtree.rng import _GOLDEN
+from degtree import DegreeMultiset, RandomSource, enumerate_trees, render_expression, sample_tree, sample_trees
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ALPHABET = str(Path(__file__).parent / "data" / "alphabet.json")
+# one symbol for unary nodes; every other arity has a count that is not a power of two
+ALPHABET_SINGLE = str(Path(__file__).parent / "data" / "alphabet_single.json")
 
 
 def run(args, capsys):
@@ -407,6 +411,37 @@ class TestStats:
         assert "positive" in err
 
 
+class TestIntegerGrammar:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--degrees", "٠:٢,٢:١"], "non-integer entry '٠'"),  # Arabic-Indic digits
+            (["check", "--degrees", "０:2,2:1"], "non-integer entry '０'"),  # fullwidth
+            (["check", "--degrees", "0_0:2,2:1"], "non-integer entry '0_0'"),
+            (["check", "--degrees", "0,0,²"], "non-integer entry '²'"),
+            (["sample", "--degrees", "0:2,2:1", "--seed", "٧"], "argument --seed: invalid int value: '٧'"),
+            (["sample", "--degrees", "0:2,2:1", "--seed", " +0_7 "], "invalid int value: ' +0_7 '"),
+            (["sample", "--degrees", "0:2,2:1", "--seed", "+-7"], "invalid int value: '+-7'"),
+            (["sample", "--degrees", "0:2,2:1", "--count", "１"], "expected a positive integer, got '１'"),
+            (["stats", "--degrees", "0:2,2:1", "--samples", "3_0"], "expected a positive integer, got '3_0'"),
+            (["fuzz-expr", "--degrees", "0:2,2:1", "--alphabet", ALPHABET, "--count", " 2"],
+             "expected a positive integer, got ' 2'"),
+        ],
+        ids=["arabic_indic", "fullwidth", "underscore", "superscript", "seed_arabic_indic", "seed_underscore",
+             "seed_two_signs", "count_fullwidth", "samples_underscore", "count_space"],
+    )
+    def test_only_ascii_digits_are_integers(self, capsys, argv, message):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert message in err
+        assert "seed=" not in err
+
+    def test_a_sign_and_spaces_around_entries_are_kept(self, capsys):
+        assert run(["check", "--degrees", " +0 : 2 , 2:+1 "], capsys) == (0, "charge=1 constructible=true\n", "")
+        argv = ["sample", "--degrees", "0:4,1:1,2:1,3:1", "--count", "+3"]
+        assert run([*argv, "--seed", "+7"], capsys) == run([*argv, "--seed", "7"], capsys)
+
+
 class TestFuzzExpr:
     def test_golden_prefix(self, capsys):
         code, out, err = run(
@@ -558,6 +593,17 @@ _GOLDEN_CASES = [
 # md5s of outputs too long for golden files, also checked against the
 # installed console script in .github/workflows/tests.yml
 _BIG_TREE = "0:120001,1:90000,2:60000,3:30000"
+
+
+def _seed_of_max_word(position):
+    """A seed whose word ``position`` (1-based) is ``2**64 - 1``, which
+    ``next_below`` rejects for every bound but a power of two."""
+    return str((unmix(2**64 - 1) - position * _GOLDEN) % 2**64)
+
+
+# A run of 18-node expression trees takes 35 words a tree: 17 shuffle words, then 18 labels.
+_FIRST_LABEL_REJECTED = _seed_of_max_word(18)
+_SECOND_SHUFFLE_REJECTED = _seed_of_max_word(36)
 _PINNED_MD5 = [
     (["sample", "--degrees", "0:2,2:1", "--seed", "5", "--count", "300000"],
      "5f6aca0d5ba595b2a26ab67a99a46d6c"),
@@ -608,6 +654,25 @@ _PINNED_MD5 = [
      "171be3c7dc22e6b8c4a3446871d9bd47"),
     (["sample", "--degrees", "0:350,2:50,300:1", "--seed", "8", "--count", "200", "--format", "dot"],
      "ba570be904efb70d98da50c145ed3a36"),
+    # expression trees in runs: 2000 7-node trees, chunks of 100 18-node trees in both styles,
+    # and 6501-node trees, which the block writer cuts into runs
+    (["fuzz-expr", "--degrees", "0:4,1:1,2:1,3:1", "--alphabet", ALPHABET, "--seed", "3",
+      "--count", "2000", "--style", "infix"], "0811a92683c4ef1486de72ff69aa4c55"),
+    (["fuzz-expr", "--degrees", "0:9,1:3,2:4,3:2", "--alphabet", ALPHABET, "--seed", "12",
+      "--count", "100"], "8aa5fe938f89c5528004872700d92221"),
+    (["fuzz-expr", "--degrees", "0:9,1:3,2:4,3:2", "--alphabet", ALPHABET, "--seed", "12",
+      "--count", "100", "--style", "infix"], "5767ffbd9e9ce73b1f057672224bbad4"),
+    (["fuzz-expr", "--degrees", "0:3001,1:1000,2:2000,3:500", "--alphabet", ALPHABET, "--seed", "5",
+      "--count", "2", "--style", "infix"], "0f4351f62ff6b4ae1335572b2c2b7a0a"),
+    # a rejected word rewinds the chunk: the first tree's first label, the second tree's first shuffle word
+    (["fuzz-expr", "--degrees", "0:9,1:3,2:4,3:2", "--alphabet", ALPHABET_SINGLE,
+      "--seed", _FIRST_LABEL_REJECTED, "--count", "100"], "52813f7a61ea82eb2fe72932e0aca56c"),
+    (["fuzz-expr", "--degrees", "0:9,1:3,2:4,3:2", "--alphabet", ALPHABET_SINGLE,
+      "--seed", _SECOND_SHUFFLE_REJECTED, "--count", "100", "--style", "infix"],
+     "749d925261dae9eb9f47ced0cc0dd660"),
+    # a one-symbol arity, whose nodes still take one word each
+    (["fuzz-expr", "--degrees", "0:4,1:1,2:1,3:1", "--alphabet", ALPHABET_SINGLE, "--seed", "2",
+      "--count", "50", "--style", "infix"], "f1284044e03783f73342e8071510f21b"),
 ]
 
 
@@ -616,12 +681,50 @@ _PINNED_MD5 = [
     ids=["sample_300000", "enumerate_756", "enumerate_756_json", "fuzz_batched", "fuzz_scalar",
          "enumerate_756_sexpr", "enumerate_756_dot", "forest_json", "forest_dot", "wide_prefix",
          "chunks_sexpr", "chunks_json", "chunks_dot", "column_stats", "column_sample", "byte_swap",
-         "wide_degree", "row_stats", "wide_degree_sexpr", "wide_degree_dot"],
+         "wide_degree", "row_stats", "wide_degree_sexpr", "wide_degree_dot", "fuzz_infix_2000",
+         "fuzz_chunk", "fuzz_chunk_infix", "fuzz_runs_infix", "fuzz_label_rejected",
+         "fuzz_shuffle_rejected", "fuzz_one_symbol"],
 )
 def test_pinned_output_md5(capsys, argv, md5):
     code, out, err = run(argv, capsys)
     assert (code, err) == (0, "")
     assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
+@pytest.mark.parametrize("style", ["prefix", "infix"])
+@pytest.mark.parametrize("seed", ["7", _FIRST_LABEL_REJECTED, _SECOND_SHUFFLE_REJECTED],
+                         ids=["seed_7", "label_rejected", "shuffle_rejected"])
+@pytest.mark.parametrize(
+    "spec, count",
+    [
+        ("0:4,1:1,2:1,3:1", 3),  # 18 shuffle words, too few for a batch
+        ("0:4,1:1,2:1,3:1", 6),  # 36: one batch of 6 rows
+        ("0:4,1:1,2:1,3:1", 700),  # rows by the column kernel
+        ("0:9,1:3,2:4,3:2", 63),  # the row loop's widest chunk
+        ("0:9,1:3,2:4,3:2", 64),  # the column kernel's narrowest
+        ("0:9,1:3,2:4,3:2", 5000),  # 2 chunks, the second of 1145 rows
+        ("0:1", 40),  # one-node trees: no shuffle word, one label each
+        ("0:37,1:5,2:20,3:5,4:2", 2),  # 69 nodes: a batched single row
+        ("0:2601,1:400,2:1000,3:800", 1),  # 4801 nodes, which the writer cuts into runs
+        ("0:300,1:4,300:1", 3),  # a degree above 255: a chunk of lists
+    ],
+)
+def test_batched_expressions_equal_one_tree_at_a_time(tmp_path, monkeypatch, capsys, spec, count, seed, style):
+    alphabet_path = tmp_path / "alphabet.json"
+    table = json.loads(Path(ALPHABET_SINGLE).read_text())
+    alphabet_path.write_text(json.dumps({**table, "4": ["p", "q", "r"], "300": ["wide", "w"]}))
+    sources = []
+    monkeypatch.setattr(cli, "_make_source", lambda s: sources.append(RecordingSource(s)) or sources[-1])
+    code, out, err = run(["fuzz-expr", "--degrees", spec, "--alphabet", str(alphabet_path), "--seed", seed,
+                          "--count", str(count), "--style", style], capsys)
+    assert (code, err) == (0, "")
+    # the reference: one tree, then its labels, on one stream
+    multiset, alphabet, source = parse_degree_spec(spec), cli.load_alphabet(str(alphabet_path)), RandomSource(int(seed))
+    expected = [render_expression(sample_tree(multiset, source), alphabet, source, style) for _ in range(count)]
+    assert out.split("\n") == [*expected, ""]  # lines, which pytest compares faster than long text
+    assert sources[0].words_consumed == source.words_consumed
+    if spec == "0:9,1:3,2:4,3:2":  # the trees the rejected words were placed for
+        assert sources[0].rewinds == (seed != "7")
 
 
 # Calls that end in each exit path, run between the golden cases
@@ -697,7 +800,7 @@ print(json.dumps([code, loaded, "secrets" in sys.modules]))
         (["enumerate", "--degrees", "0:5,1:2,2:2,3:1", "--format", "json"], 0, False),
         (["enumerate", "--degrees", "0:5,1:2,2:2,3:1", "--format", "dot"], 0, False),
         (["enumerate", "--degrees", "0:5,1:2,2:2,3:1", "--format", "sexpr"], 0, False),
-        # 7 labels per tree, too few for a batch
+        # 3 trees of 7 nodes draw 18 shuffle words, too few for a batch
         (["fuzz-expr", "--degrees", "0:4,1:1,2:1,3:1", "--alphabet", ALPHABET, "--seed", "1",
           "--count", "3", "--style", "infix"], 0, False),
         # 7 nodes draw 6 words, too few for a batch
