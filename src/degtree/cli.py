@@ -132,9 +132,11 @@ def load_alphabet(path: str) -> OperatorAlphabet:
     table: dict[int, list[str]] = {}
     for key, value in raw:
         try:
-            arity = int(key)
+            arity = _integer(key.strip())
         except ValueError:
-            raise AlphabetError(f"alphabet arity key {key!r} is not an integer") from None
+            raise AlphabetError(f"alphabet arity key of {len(key)} characters exceeds Python's digit limit") from None
+        if arity is None:
+            raise AlphabetError(f"alphabet arity key {key!r} is not an integer")
         if arity in table:  # "2" twice, or "0" and "00", " 0 " or "-0"
             raise AlphabetError(f"alphabet file {path!r} gives arity {arity} more than once")
         if not isinstance(value, list):

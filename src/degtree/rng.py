@@ -14,8 +14,9 @@ the ``next_below`` chain word for word, and hands it over whole, as a
 draws: an n-node expression tree takes n - 1 shuffle words, then one
 label word per node, so with no rejection tree ``r`` of a run starts at
 word ``r * (2n - 1)``, and a chunk of such trees is one batch whose label
-words are reduced, by the same rejection test, once the rotated trees
-give each node's bound.
+words are reduced once the rotated trees give each node's bound.  Such a
+batch equals the chain when no word exceeds 2**64 minus the largest bound,
+shuffle or label, of its words; any other batch is redrawn by next_below.
 
 The generator is hand-rolled rather than borrowed from ``random.Random``
 so that seeded streams are stable across interpreter versions; the golden
@@ -124,7 +125,7 @@ class RandomSource:
         self._count -= n
 
 
-def _draw_chunk(source, bounds, rows: int, width: int = 0):
+def _draw_chunk(source, bounds, rows: int, width: int = 0, top: int = 0):
     # The draws of ``rows`` rows, each with the values of
     # [source.next_below(b) for b in bounds] (the bounds n down to 2 of a
     # Fisher-Yates shuffle, or the symbol counts of expression labels), as
@@ -134,11 +135,12 @@ def _draw_chunk(source, bounds, rows: int, width: int = 0):
     # ints one at a time, where a list would hold them all (about 36 MB for
     # a 1e6-node shuffle); the caller drops both when done with them.  A
     # batch row holds ``width`` words (default: one per bound), the last
-    # left raw for the caller, who rewinds the batch if _reduced refuses
-    # them.  A batch with a word that next_below would reject (probability
-    # < len(bounds) * max(bounds) / 2**64 per row) is rewound, and its rows
-    # come from next_below like any other source's, with batch None, so
-    # every path consumes the identical stream.
+    # left raw for the caller to reduce by bounds up to ``top``.  As
+    # next_below(b) takes every word up to 2**64 - b, a batch is kept only
+    # if no word is above 2**64 minus its largest bound; any other
+    # (probability < words * bound / 2**64) is rewound, and its rows come from
+    # next_below like any other source's, with batch None, so every path
+    # consumes the identical stream.
     size = rows * len(bounds)
     if size >= _BATCH_WORDS and isinstance(source, RandomSource):
         import numpy as np
@@ -148,24 +150,8 @@ def _draw_chunk(source, bounds, rows: int, width: int = 0):
             limits = np.arange(bounds.start, bounds.stop, bounds.step, dtype=np.uint64)
         else:
             limits = np.array(bounds, dtype=np.uint64)
-        if _reduced(words[:, : len(bounds)], limits):
+        if words.max() <= np.uint64(_WORD_SPAN - max(top, int(limits.max()))):
+            words[:, : len(bounds)] %= limits
             return words, map(memoryview, words)
         source.rewind(words.size)
     return None, ((source.next_below(b) for b in bounds) for _ in range(rows))
-
-
-def _reduced(words, limits) -> bool:
-    # Whether next_below(limit) would take each word of the uint64 array
-    # words, against the limits of the same shape or of one row; if so,
-    # each word becomes its draw, word % limit, in place.
-    import numpy as np
-
-    # next_below(b) takes words below 2**64 - 2**64 % b, i.e. up to
-    # ~(2**64 % b).  For b <= top that limit is above 2**64 - top, so
-    # one max() clears nearly every batch without the exact test and
-    # its batch-sized temporaries.
-    top = int(limits.max())
-    if words.max() > np.uint64(_WORD_SPAN - top) and (words > ~((np.uint64(0) - limits) % limits)).any():
-        return False
-    words %= limits
-    return True

@@ -31,12 +31,11 @@ in Python slicing terms ``rotate(s, k) == s[k:] + s[:k]``.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 from .degrees import DegreeMultiset, _charge_peak
 from .errors import NotConstructibleError
-from .rng import _draw_chunk, _reduced
+from .rng import _draw_chunk
 
 # Most words one chunk of sample_trees draws (512 KiB of uint64, plus the
 # shifted copy next_words holds while mixing) unless a single row is longer.
@@ -158,16 +157,17 @@ def _chunks(sequence, source, count: int, labels=None):
     # labels, a map from each degree to a range of label ids, each node
     # draws an id from its degree's range by one of n words that follow
     # its tree's n - 1 shuffle words, and each turn yields the chunk and a
-    # flat list of its ids.  A batch holds both draws of every tree; a
-    # label word that next_below would reject rewinds it whole, to be drawn
-    # again tree by tree.
+    # flat list of its ids.  A batch holds both draws of every tree, and
+    # _draw_chunk keeps it only if no word is within n or the largest
+    # range's size of 2**64; otherwise both are drawn tree by tree.
     n, wide = len(sequence), type(sequence) is list
     container = bytearray if n > _BYTE_NODES else list
     bounds, per_chunk = range(n, 1, -1), max(1, _CHUNK_WORDS // max(1, n - 1))
     width = 2 * n - 1 if labels else n - 1
+    top = max(map(len, labels.values())) if labels else 0
     for start in range(0, count, per_chunk):
         rows = min(per_chunk, count - start)
-        batch, draws = _draw_chunk(source, bounds, rows, width)
+        batch, draws = _draw_chunk(source, bounds, rows, width, top)
         marks = [] if batch is None or not labels else batch[:, n - 1 :]
         rotated = batch is None or wide
         if rotated:
@@ -187,28 +187,20 @@ def _chunks(sequence, source, count: int, labels=None):
         del batch, draws
         if not rotated:
             flat = _rotated(flat, n)
-        if not labels:
-            yield flat
-        # ids drawn tree by tree above, or from the batch's label words
-        elif type(marks) is list or (marks := _label_ids(marks, flat, labels)) is not None:
-            yield flat, marks
-        else:
-            source.rewind(rows * width)
-            # a source that is no RandomSource is drawn from by next_below alone
-            yield from _chunks(sequence, SimpleNamespace(next_below=source.next_below), rows, labels)
+        if labels and type(marks) is not list:  # else ids drawn tree by tree above
+            marks = _label_ids(marks, flat, labels)
+        yield (flat, marks) if labels else flat
 
 
 def _label_ids(words, flat, labels):
-    # The label ids of a chunk's rotated codes flat from its label words, as
-    # a flat list; None if next_below would reject a word against the size
-    # of its node's range.
+    # The label ids of a chunk's rotated codes flat from its raw label words,
+    # which _draw_chunk has checked against the largest range, as a flat list.
     import numpy as np
 
     degrees = sorted(labels)
     codes = np.array(flat) if type(flat) is list else np.frombuffer(flat, dtype=np.uint8)
     at = np.searchsorted(degrees, codes).reshape(words.shape)
-    if not _reduced(words, np.array([len(labels[d]) for d in degrees], dtype=np.uint64)[at]):
-        return None
+    words %= np.array([len(labels[d]) for d in degrees], dtype=np.uint64)[at]
     words += np.array([labels[d].start for d in degrees], dtype=np.uint64)[at]
     return words.reshape(-1).tolist()
 

@@ -521,6 +521,39 @@ class TestFuzzExpr:
         assert (code, out) == (1, "")
         assert f"arity {arity} more than once" in err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"\u0660": ["x"], "2": ["+"]}', "\u0660"),  # Arabic-Indic zero
+            ('{"0": ["x"], "\uff12": ["+"]}', "\uff12"),  # fullwidth two
+            ('{"0_0": ["x"], "2": ["+"]}', "0_0"),
+            ('{"0": ["x"], "2.0": ["+"]}', "2.0"),
+            ('{" ": ["x"], "2": ["+"]}', " "),
+        ],
+        ids=["arabic_indic_zero", "fullwidth_two", "underscore", "decimal_point", "blank"],
+    )
+    def test_arity_key_is_an_ascii_integer(self, capsys, tmp_path, text, key):
+        # only an optional sign and ASCII digits name an arity; int() read the first three as 0 or 2
+        alphabet = tmp_path / "alphabet.json"
+        alphabet.write_text(text, encoding="utf-8")
+        code, out, err = run(
+            ["fuzz-expr", "--degrees", "0:2,2:1", "--alphabet", str(alphabet), "--seed", "1"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == f"degtree: error: alphabet arity key {key!r} is not an integer\n"
+
+    def test_arity_key_past_the_limit_is_an_alphabet_error(self, capsys, tmp_path):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python has no int-to-str digit limit")
+        alphabet = tmp_path / "alphabet.json"
+        alphabet.write_text(json.dumps({"0": ["x"], "9" * (limit + 1): ["+"], "2": ["+"]}))
+        code, out, err = run(
+            ["fuzz-expr", "--degrees", "0:2,2:1", "--alphabet", str(alphabet), "--seed", "1"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == f"degtree: error: alphabet arity key of {limit + 1} characters exceeds Python's digit limit\n"
+
     def test_alphabet_must_be_an_object(self, capsys, tmp_path):
         pairs = tmp_path / "pairs.json"
         pairs.write_text('[["0", ["x"]], ["2", ["+"]]]')
@@ -604,6 +637,9 @@ def _seed_of_max_word(position):
 # A run of 18-node expression trees takes 35 words a tree: 17 shuffle words, then 18 labels.
 _FIRST_LABEL_REJECTED = _seed_of_max_word(18)
 _SECOND_SHUFFLE_REJECTED = _seed_of_max_word(36)
+# Word 35 is the first tree's last label, a leaf's.  tests/data/alphabet.json has 4 leaf symbols and
+# next_below(4) takes 2**64 - 1, but the batch is redrawn: 2**64 - 1 is within 4 of 2**64.
+_LEAF_SLIVER = _seed_of_max_word(35)
 _PINNED_MD5 = [
     (["sample", "--degrees", "0:2,2:1", "--seed", "5", "--count", "300000"],
      "5f6aca0d5ba595b2a26ab67a99a46d6c"),
@@ -670,6 +706,11 @@ _PINNED_MD5 = [
     (["fuzz-expr", "--degrees", "0:9,1:3,2:4,3:2", "--alphabet", ALPHABET_SINGLE,
       "--seed", _SECOND_SHUFFLE_REJECTED, "--count", "100", "--style", "infix"],
      "749d925261dae9eb9f47ced0cc0dd660"),
+    # a word next_below takes but the batch does not, in the row loop and in the column kernel
+    (["fuzz-expr", "--degrees", "0:9,1:3,2:4,3:2", "--alphabet", ALPHABET, "--seed", _LEAF_SLIVER,
+      "--count", "63"], "61f53f5dad5e5e14bf43300d31f5852f"),
+    (["fuzz-expr", "--degrees", "0:9,1:3,2:4,3:2", "--alphabet", ALPHABET, "--seed", _LEAF_SLIVER,
+      "--count", "100"], "cc52492b1c8745b9960e8c28b4dcd3ad"),
     # a one-symbol arity, whose nodes still take one word each
     (["fuzz-expr", "--degrees", "0:4,1:1,2:1,3:1", "--alphabet", ALPHABET_SINGLE, "--seed", "2",
       "--count", "50", "--style", "infix"], "f1284044e03783f73342e8071510f21b"),
@@ -683,7 +724,7 @@ _PINNED_MD5 = [
          "chunks_sexpr", "chunks_json", "chunks_dot", "column_stats", "column_sample", "byte_swap",
          "wide_degree", "row_stats", "wide_degree_sexpr", "wide_degree_dot", "fuzz_infix_2000",
          "fuzz_chunk", "fuzz_chunk_infix", "fuzz_runs_infix", "fuzz_label_rejected",
-         "fuzz_shuffle_rejected", "fuzz_one_symbol"],
+         "fuzz_shuffle_rejected", "fuzz_sliver_rows", "fuzz_sliver_columns", "fuzz_one_symbol"],
 )
 def test_pinned_output_md5(capsys, argv, md5):
     code, out, err = run(argv, capsys)
@@ -713,18 +754,31 @@ def test_batched_expressions_equal_one_tree_at_a_time(tmp_path, monkeypatch, cap
     alphabet_path = tmp_path / "alphabet.json"
     table = json.loads(Path(ALPHABET_SINGLE).read_text())
     alphabet_path.write_text(json.dumps({**table, "4": ["p", "q", "r"], "300": ["wide", "w"]}))
+    source = _fuzz_equals_the_chain(monkeypatch, capsys, spec, str(alphabet_path), seed, count, style)
+    if spec == "0:9,1:3,2:4,3:2":  # the trees the rejected words were placed for
+        assert source.rewinds == (seed != "7")
+
+
+@pytest.mark.parametrize("style", ["prefix", "infix"])
+@pytest.mark.parametrize("count", [63, 100], ids=["rows", "columns"])
+def test_sliver_word_rewinds_the_batch_once(monkeypatch, capsys, count, style):
+    source = _fuzz_equals_the_chain(monkeypatch, capsys, "0:9,1:3,2:4,3:2", ALPHABET, _LEAF_SLIVER, count, style)
+    assert (source.rewinds, source.words_consumed) == (1, 35 * count)
+
+
+def _fuzz_equals_the_chain(monkeypatch, capsys, spec, alphabet_path, seed, count, style):
+    # fuzz-expr's output and words against the reference, one tree then its labels on one
+    # stream; returns the RecordingSource the command drew from
     sources = []
     monkeypatch.setattr(cli, "_make_source", lambda s: sources.append(RecordingSource(s)) or sources[-1])
-    code, out, err = run(["fuzz-expr", "--degrees", spec, "--alphabet", str(alphabet_path), "--seed", seed,
+    code, out, err = run(["fuzz-expr", "--degrees", spec, "--alphabet", alphabet_path, "--seed", seed,
                           "--count", str(count), "--style", style], capsys)
     assert (code, err) == (0, "")
-    # the reference: one tree, then its labels, on one stream
-    multiset, alphabet, source = parse_degree_spec(spec), cli.load_alphabet(str(alphabet_path)), RandomSource(int(seed))
+    multiset, alphabet, source = parse_degree_spec(spec), cli.load_alphabet(alphabet_path), RandomSource(int(seed))
     expected = [render_expression(sample_tree(multiset, source), alphabet, source, style) for _ in range(count)]
     assert out.split("\n") == [*expected, ""]  # lines, which pytest compares faster than long text
     assert sources[0].words_consumed == source.words_consumed
-    if spec == "0:9,1:3,2:4,3:2":  # the trees the rejected words were placed for
-        assert sources[0].rewinds == (seed != "7")
+    return sources[0]
 
 
 # Calls that end in each exit path, run between the golden cases

@@ -505,6 +505,20 @@ class TestBatchedLabels:
         assert (fast.batches, fast.rewinds) == ([len(self.CODE)], 1)
         assert fast.next_word() == slow._source.next_word()
 
+    @pytest.mark.parametrize("style", ["prefix", "infix"])
+    def test_sliver_word_rewinds_to_the_scalar_chain(self, style):
+        # next_below(4) takes the last node's word, 2**64 - 1, as that node is a leaf
+        # and 2**64 % 4 == 0; the batch is redrawn all the same, as 2**64 - 1 is within
+        # the largest symbol count of 2**64
+        four = OperatorAlphabet({0: list("wxyz"), 1: ["-", "~", "!"], 2: list("+-*/"), 3: ["f", "g"]})
+        assert self.CODE[-1] == 0
+        seed = (unmix(2**64 - 1) - len(self.CODE) * _GOLDEN) % 2**64
+        fast, slow = RecordingSource(seed), ScalarOnly(seed)
+        rendered = render_expression(self.CODE, four, fast, style)
+        assert rendered == render_expression(self.CODE, four, slow, style)
+        assert fast.words_consumed == slow._source.words_consumed == len(self.CODE)
+        assert (fast.batches, fast.rewinds) == ([len(self.CODE)], 1)
+
 
 class TestOperatorAlphabet:
     def test_validation(self):

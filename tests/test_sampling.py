@@ -99,21 +99,17 @@ class TestShuffle:
         )
         assert fast.next_word() == slow._source.next_word()
 
-    def test_top_word_at_bound_two_is_kept_without_rewind(self):
+    def test_top_word_at_bound_two_rewinds_to_the_scalar_chain(self):
         # the last word of a 1025-item shuffle is drawn below 2, which
-        # rejects no word; 2**64 - 1 there exceeds 2**64 - 1025, so the
-        # batch's max() check trips and the exact test must clear it
+        # rejects no word; 2**64 - 1 there still exceeds 2**64 - 1025, so
+        # the batch is rewound once and drawn by next_below
         seed = (_unmix(2**64 - 1) - 1024 * _GOLDEN) % 2**64
         assert RandomSource(seed).next_words(1024)[-1] == 2**64 - 1
-
-        class NoRewind(RandomSource):
-            def rewind(self, n):
-                raise AssertionError(f"rewound {n} words")
-
-        fast, slow = NoRewind(seed), ScalarOnly(seed)
+        fast, slow = RecordingSource(seed), ScalarOnly(seed)
         assert fisher_yates_shuffle(range(1025), fast) == fisher_yates_shuffle(
             range(1025), slow
         )
+        assert (fast.batches, fast.rewinds) == ([1024], 1)
         assert fast.words_consumed == slow._source.words_consumed == 1024
 
     def test_default_source_shuffles_uniformly(self):
