@@ -123,10 +123,9 @@ def load_alphabet(path: str) -> OperatorAlphabet:
         with open(path, encoding="utf-8") as handle:
             # objects as tuples of pairs, so a repeated key is kept, not dropped
             raw = json.load(handle, object_pairs_hook=tuple)
-    except OSError as exc:
-        raise AlphabetError(f"cannot read alphabet file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise AlphabetError(f"alphabet file {path!r} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        # unreadable, not UTF-8, not JSON, a number past the digit limit, or nested too deeply
+        raise AlphabetError(f"cannot read alphabet file {path!r} as JSON: {exc}") from exc
     if not isinstance(raw, tuple):
         raise AlphabetError(f"alphabet file {path!r} must hold a JSON object")
     table: dict[int, list[str]] = {}
@@ -241,9 +240,7 @@ def _cmd_fuzz_expr(args: argparse.Namespace) -> int:
     alphabet = load_alphabet(args.alphabet)
     # every tree over the multiset uses every degree in it, so coverage
     # can be rejected before any output
-    for degree in multiset.counts:
-        alphabet.symbols_for(degree)
-    labels = {degree: alphabet._ids[degree] for degree in multiset.counts}
+    labels = alphabet._labels(multiset.counts)
     source = _make_source(args.seed)
     _write_trees(_tree_chunks(multiset, source, args.count, labels), args.style, multiset, alphabet)
     return EXIT_OK

@@ -13,7 +13,6 @@ sampler's chunks, flat runs of whole codes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import getitem, index, mul, ne
 from typing import Mapping, Sequence
 
@@ -38,39 +37,39 @@ class OperatorAlphabet:
     """
 
     def __init__(self, symbols: Mapping[int, Sequence[str]]):
-        table: dict[int, tuple[str, ...]] = {}
-        for arity, choices in symbols.items():
-            if arity < 0:
-                raise ValueError(f"arity must be non-negative, got {arity}")
-            choices = tuple(choices)
-            if not choices:
-                raise ValueError(f"arity {arity} has an empty symbol list")
-            if not all(isinstance(s, str) for s in choices):
-                raise ValueError(f"arity {arity} has non-string symbols")
-            table[int(arity)] = choices
-        self._table = table
         # Each symbol has an id: its position in the arities' rows laid end
-        # to end.  Per id, the symbol, and its infix text: what opens its
-        # node, and what parts its children ("" for a leaf, which has none,
-        # and whose join a root reads).
+        # to end.  Per arity, the range of its ids; per id, the symbol, and
+        # its infix text: what opens its node, and what parts its children
+        # ("" for a leaf, which has none, and whose join a root reads).
         self._ids: dict[int, range] = {}
         self._symbols, self._opens, self._joins = [], [], []
-        for a, row in table.items():
+        for arity, row in symbols.items():
+            if arity < 0:
+                raise ValueError(f"arity must be non-negative, got {arity}")
+            row = tuple(row)
+            if not row:
+                raise ValueError(f"arity {arity} has an empty symbol list")
+            if not all(isinstance(s, str) for s in row):
+                raise ValueError(f"arity {arity} has non-string symbols")
+            a = int(arity)
             self._ids[a] = range(len(self._symbols), len(self._symbols) + len(row))
             self._symbols += row
             self._opens += ("(",) * len(row) if a == 2 else [s + "(" for s in row] if a else row
             self._joins += [f" {s} " for s in row] if a == 2 else (", " * (a > 0),) * len(row)
 
+    def _labels(self, degrees) -> dict[int, range]:
+        # Each of degrees' range of symbol ids; raises for the smallest without symbols.
+        if missing := set(degrees).difference(self._ids):
+            raise MissingArityError(min(missing))
+        return {degree: self._ids[degree] for degree in degrees}
+
     def symbols_for(self, arity: int) -> tuple[str, ...]:
         """Candidate spellings for ``arity``; raises MissingArityError if none."""
-        try:
-            return self._table[arity]
-        except KeyError:
-            raise MissingArityError(arity) from None
+        return tuple(map(self._symbols.__getitem__, self._labels([arity])[arity]))
 
     @property
     def arities(self) -> set[int]:
-        return set(self._table)
+        return set(self._ids)
 
 
 class _Pieces(dict):
@@ -102,21 +101,23 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 # sexpr text of a tree is about 3 bytes a node.
 _BLOCK = 1 << 12
 # Most nodes of whole trees in a block of prefix digits; a larger tree is
-# one block, since its text is 2 bytes a node, a quarter of its code's list.
+# one block, its text twice its code's bytes.  Blocks of 2^12 nodes made
+# `sample --count` 3-10% slower on trees of 3 and 10 nodes.
 _DIGIT_BLOCK = 1 << 18
 
 
-def _runs(code: Sequence[int], cap: int):
-    # (start, run) for each run of cap symbols of code, which is its own run if it fits
-    return [(0, code)] if len(code) <= cap else ((s, code[s : s + cap]) for s in range(0, len(code), cap))
+def _runs(code: Sequence[int], cap: int, *rest):
+    # (start, run, *rest) for each run of cap symbols of code, which is its own run if it fits
+    return [(0, code, *rest)] if len(code) <= cap else ((s, code[s : s + cap], *rest) for s in range(0, len(code), cap))
 
 
 def _structure(code: Sequence[int], size: int = 0, block: int = 0):
-    """Yield each node's parent position (-1 at a root) and count of internal
-    nodes whose last subtree ends at it, for each run of ``block`` symbols
-    (default: all).  The code is a forest of ``size``-node trees (default:
-    one tree).  Raises what :func:`decode_prefix` documents, at the first
-    symbol that breaks the grammar or at the end, before yielding its run.
+    """Yield ``(start, run, parents, closed)`` for each run of ``block``
+    symbols (default: all) from position ``start``: each node's parent (-1 at
+    a root) and count of internal nodes whose last subtree ends at it.  The
+    code is a forest of ``size``-node trees (default: one tree).  Raises
+    what :func:`decode_prefix` documents, at the first symbol that breaks
+    the grammar or at the end, before yielding its run.
     """
     n = len(code)
     if not n:
@@ -155,7 +156,7 @@ def _structure(code: Sequence[int], size: int = 0, block: int = 0):
             # other one missing more than the subtree in progress under it.
             unstarted = 1 + sum(1 for m in misses[2:] if m > 1)
             raise TruncatedCodeError(f"code ended with {unstarted} node(s) still missing children")
-        yield parents, closed
+        yield start, run, parents, closed
 
 
 def decode_prefix(code: Sequence[int]) -> TreeNode:
@@ -170,7 +171,7 @@ def decode_prefix(code: Sequence[int]) -> TreeNode:
         TrailingSymbolsError: a complete tree was closed before the end;
             carries the position of the first extra symbol.
     """
-    parents = next(_structure(code))[0]
+    parents = next(_structure(code))[2]
     nodes = [TreeNode(degree) for degree in map(index, code)]
     for node, parent in zip(nodes[1:], parents[1:]):
         nodes[parent].children.append(node)
@@ -218,7 +219,7 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
             elif fmt == "dot":  # runs of the tree's node lines, then of its edge lines
                 for start, run in _runs(codes, _BLOCK):
                     yield header * (not start) + "".join(_dot_lines(run, start, str))
-                for (parents, _), (start, run) in zip(_structure(codes, size, _BLOCK), _runs(codes, _BLOCK)):
+                for start, run, parents, _ in _structure(codes, size, _BLOCK):
                     pieces = _dot_lines(run, start, str, parents)
                     del pieces[: 4 * (not start)]  # the root has no edge
                     if start + _BLOCK >= len(codes):
@@ -226,8 +227,8 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
                     yield "".join(pieces)
             else:
                 labels = alphabet and marks[first : first + len(codes)]
-                structure = repeat((None, None)) if fmt == "prefix" else _structure(codes, size, _BLOCK)
-                for (parents, closed), (start, run) in zip(structure, _runs(codes, _BLOCK)):
+                structure = _runs(codes, _BLOCK, None, None) if fmt == "prefix" else _structure(codes, size, _BLOCK)
+                for start, run, parents, closed in structure:
                     if alphabet:
                         slots = _expression_slots(alphabet, fmt, labels, parents, closed, start, run)
                     else:
@@ -278,7 +279,7 @@ def _stream_text(slots, length: int, start: int, size: int, end: str) -> str:
 
 def _dot_trees(forest, size: int, header: str) -> str:
     # The dot text of a forest of size-node codes, the first tree opened by header.
-    parents = next(_structure(forest, size))[0]
+    parents = next(_structure(forest, size))[2]
     name = (list(map(str, range(size))) * (len(forest) // size)).__getitem__
     nodes, edges = _dot_lines(forest, 0, name), _dot_lines(forest, 0, name, parents)
     pieces = []
@@ -351,8 +352,6 @@ def render_expression(
         raise ValueError(f"unknown style {style!r}")
     for _ in _structure(code, 0, _BLOCK):
         pass
-    for arity in sorted(set(code)):
-        alphabet.symbols_for(arity)
-    ranges = list(map(alphabet._ids.__getitem__, code))
+    ranges = list(map(alphabet._labels(set(code)).__getitem__, code))
     draws = next(_draw_chunk(source, list(map(len, ranges)), 1)[1])
     return "".join(_blocks([(code, list(map(getitem, ranges, draws)))], len(code), style, "", alphabet))

@@ -469,16 +469,21 @@ class TestFuzzExpr:
     def test_missing_arity_is_a_usage_error(self, capsys, tmp_path):
         sparse = tmp_path / "sparse.json"
         sparse.write_text('{"0": ["x"], "2": ["+"]}')
-        code, out, err = run(
-            [
-                "fuzz-expr", "--degrees", "0:4,1:1,2:1,3:1",
-                "--alphabet", str(sparse), "--seed", "1",
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert out == ""
-        assert "arity" in err
+        # the second spec misses arities 3 and 5: the smaller one is named
+        for degrees, message in [
+            ("0:4,1:1,2:1,3:1", "arity"),
+            ("0:8,2:1,3:1,5:1", "alphabet defines no symbols for arity 3"),
+        ]:
+            code, out, err = run(
+                [
+                    "fuzz-expr", "--degrees", degrees,
+                    "--alphabet", str(sparse), "--seed", "1",
+                ],
+                capsys,
+            )
+            assert code == 1, degrees
+            assert out == "", degrees
+            assert message in err, degrees
 
     def test_unreadable_alphabet(self, capsys, tmp_path):
         code, _, err = run(
@@ -500,6 +505,27 @@ class TestFuzzExpr:
         )
         assert code == 1
         assert "JSON" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "", b"{not json", b"\xff\xfe{", b'{"0": [' + b"9" * 5000 + b'], "2": ["+"]}', b"[" * 100_000],
+        ids=["missing", "directory", "not_json", "not_utf8", "digit_limit", "nested"],
+    )
+    def test_alphabet_read_errors_are_one_line(self, capsys, tmp_path, content):
+        # each file that cannot be read as JSON: the nested one used to end in
+        # a traceback, and the not_utf8 and digit_limit ones did not name the file
+        if content and b"9" * 5000 in content and not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+            pytest.skip("this Python has no int-to-str digit limit below 5000 digits")
+        path = tmp_path / "alphabet.json"
+        if content == "":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        code, out, err = run(["fuzz-expr", "--degrees", "0:2,2:1", "--alphabet", str(path), "--seed", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"degtree: error: cannot read alphabet file {str(path)!r} as JSON: "), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "text, arity",
@@ -805,7 +831,10 @@ class TestRepeatedMain:
                 assert re.fullmatch(r"seed=\d+\n", err), err
                 assert run([*_UNSEEDED, "--seed", err[5:-1]], capsys) == (0, out, "")
             passes.append(results)
-        assert passes[0] == passes[1]
+        calls = [call for (argv, _), (between, _) in steps for call in (argv, between)]
+        for argv, first, again in zip(calls, *passes):
+            same = first == again  # a flag, not the texts: pytest's diff of long texts can take minutes
+            assert same, argv
         for ((_, name), (between, exit_code)), golden, other in zip(steps, passes[0][::2], passes[0][1::2]):
             assert (golden[0], golden[2]) == (0, ""), name
             check_golden(name, golden[1])

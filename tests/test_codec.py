@@ -460,12 +460,16 @@ class TestRenderExpression:
         assert rendered == "(y + x)"
 
     def test_missing_arity_checked_before_drawing(self):
-        source = CountingSource()
-        alphabet = OperatorAlphabet({0: ["x"]})
-        with pytest.raises(MissingArityError) as info:
-            render_expression([2, 0, 0], alphabet, source)
-        assert info.value.arity == 2
-        assert source.calls == 0
+        # the second code misses arities 3 and 5: the smaller one is named
+        for symbols, code, arity in [
+            ({0: ["x"]}, [2, 0, 0], 2),
+            ({0: ["x"], 2: ["+"]}, [5, 3, 2, 0, 0, 0, 0, 0, 0, 0, 0], 3),
+        ]:
+            source = CountingSource()
+            with pytest.raises(MissingArityError) as info:
+                render_expression(code, OperatorAlphabet(symbols), source)
+            assert info.value.arity == arity
+            assert source.calls == 0
 
     def test_unknown_style(self):
         with pytest.raises(ValueError):
