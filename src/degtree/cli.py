@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from collections.abc import Sequence
 from itertools import chain
-from typing import Sequence
 
 from .codec import OperatorAlphabet, _blocks
 from .degrees import DegreeMultiset
@@ -119,6 +118,8 @@ def _parse_int(piece: str, spec: str) -> int:
 
 def load_alphabet(path: str) -> OperatorAlphabet:
     """Load a JSON file mapping arity (string key) to a list of symbols."""
+    import json  # loaded only by fuzz-expr
+
     try:
         with open(path, encoding="utf-8") as handle:
             # objects as tuples of pairs, so a repeated key is kept, not dropped

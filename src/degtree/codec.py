@@ -12,20 +12,23 @@ sampler's chunks, flat runs of whole codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from operator import getitem, index, mul, ne
-from typing import Mapping, Sequence
 
-from .errors import MissingArityError, TrailingSymbolsError, TruncatedCodeError
+from .errors import MissingArityError, TrailingSymbolsError, TruncatedCodeError, _Record
 from .rng import _draw_chunk
 
+_NEW_LIST = object()  # TreeNode's default: a new list per node (None stays None)
 
-@dataclass
-class TreeNode:
+
+class TreeNode(_Record):
     """Ordered tree node: an outdegree and exactly that many children."""
 
-    outdegree: int
-    children: list["TreeNode"] = field(default_factory=list)
+    __match_args__ = ("outdegree", "children")
+
+    def __init__(self, outdegree: int, children: list[TreeNode] | None = _NEW_LIST):
+        self.outdegree = outdegree
+        self.children = [] if children is _NEW_LIST else children
 
 
 class OperatorAlphabet:

@@ -13,12 +13,11 @@ package; only the multiset constraint gets a class of its own.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import accumulate
 from operator import index
-from typing import Iterable, Mapping, Sequence
 
-from .errors import ChargeNotOneError, _int_text
+from .errors import ChargeNotOneError, _int_text, _Record
 
 
 class DegreeMultiset:
@@ -84,19 +83,30 @@ class DegreeMultiset:
         return f"DegreeMultiset({{{inner}}})"
 
 
-@dataclass(frozen=True)
-class SegmentDecomposition:
+class SegmentDecomposition(_Record):
     """Split of a charge-1 sequence into complete tree codes plus a tail.
 
     ``complete_prefix_length`` is the number of leading symbols covered by
     complete codes, ``complete_expression_count`` how many such codes the
     prefix holds, and ``tail_charge`` the charge of what remains (always
-    ``1 - complete_expression_count``).
+    ``1 - complete_expression_count``).  Frozen and hashable.
     """
 
-    complete_prefix_length: int
-    complete_expression_count: int
-    tail_charge: int
+    __match_args__ = ("complete_prefix_length", "complete_expression_count", "tail_charge")
+
+    def __init__(self, complete_prefix_length: int, complete_expression_count: int, tail_charge: int):
+        # through the instance dict, past the __setattr__ that refuses
+        vars(self).update(complete_prefix_length=complete_prefix_length,
+                          complete_expression_count=complete_expression_count, tail_charge=tail_charge)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def charge(degrees: Sequence[int]) -> int:

@@ -1,4 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types and small helpers shared across the package."""
+
+from reprlib import recursive_repr
+
+
+class _Record:
+    # A record whose fields are its __match_args__: equal only to a record
+    # of its own class with equal fields, and shown as Name(field=value, ...).
+    # Written out by hand: the standard library's decorator for this would
+    # import inspect, ast and dis into every process that loads the package.
+    # Defining __eq__ sets __hash__ to None; a frozen record defines its own.
+    __match_args__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def _int_text(n: int) -> str:

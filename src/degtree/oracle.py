@@ -12,15 +12,16 @@ exponent step, so importing this module does not load it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import compress, repeat
 from math import factorial, isqrt
 from operator import mul
-from typing import TYPE_CHECKING, Iterable
 
 # unused here; bench test_names_rebound_by_import_are_traced wraps oracle.is_well_formed
 from .degrees import DegreeMultiset, is_well_formed
 from .errors import EnumerationTooLargeError, NotConstructibleError
 
+TYPE_CHECKING = False  # True for a type checker; typing is not imported at run time
 if TYPE_CHECKING:
     import decimal
 

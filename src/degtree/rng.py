@@ -30,8 +30,8 @@ not load it.
 from __future__ import annotations
 
 from operator import index
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False  # True for a type checker; typing is not imported at run time
 if TYPE_CHECKING:
     import numpy as np
 

@@ -2,20 +2,18 @@
 
 from __future__ import annotations
 
-import json
 import struct
 from collections import Counter
-from dataclasses import dataclass
 
 from .codec import _DIGITS
 from .degrees import DegreeMultiset
+from .errors import _Record
 from .oracle import enumerate_trees
 from .rng import RandomSource
 from .sampling import _tree_chunks
 
 
-@dataclass
-class FrequencyReport:
+class FrequencyReport(_Record):
     """Observed tree frequencies with a chi-square summary.
 
     ``outcome_counts`` covers the whole enumerated outcome space,
@@ -25,17 +23,24 @@ class FrequencyReport:
     pass/fail thresholds are the caller's policy.
     """
 
-    outcome_counts: dict[tuple[int, ...], int]
-    total_samples: int
-    chi_square: float
-    degrees_of_freedom: int
-    seed: int
+    __match_args__ = ("outcome_counts", "total_samples", "chi_square", "degrees_of_freedom", "seed")
+
+    def __init__(self, outcome_counts: dict[tuple[int, ...], int], total_samples: int, chi_square: float,
+                 degrees_of_freedom: int, seed: int):
+        self.outcome_counts = outcome_counts
+        self.total_samples = total_samples
+        self.chi_square = chi_square
+        self.degrees_of_freedom = degrees_of_freedom
+        self.seed = seed
 
     def to_json(self) -> str:
         """One-line JSON with outcomes in the order of ``outcome_counts``."""
+        import json  # loaded only by the stats command
+
         head = json.dumps({"seed": self.seed, "samples": self.total_samples, "chi_square": self.chi_square,
                            "degrees_of_freedom": self.degrees_of_freedom})
-        outcomes = _codes_json(list(self.outcome_counts))
+        codes = list(self.outcome_counts)
+        outcomes = _codes_json(codes) or json.dumps(codes)
         counts = json.dumps(list(self.outcome_counts.values()))
         # what json.dumps writes with "outcomes" and "counts" added last
         return f'{head[:-1]}, "outcomes": {outcomes}, "counts": {counts}}}'
@@ -84,17 +89,18 @@ def uniformity_report(
     )
 
 
-def _codes_json(codes: list[tuple[int, ...]]) -> str:
-    # json.dumps(codes), made without it for tuples of one length whose
-    # degrees are all below 10, as in a space of at most 10 nodes: each code
-    # is "[d, d, ..., d]", so one slice assignment a position writes it.
+def _codes_json(codes: list[tuple[int, ...]]) -> str | None:
+    # json.dumps(codes) for tuples of one length whose degrees are all below
+    # 10, as in a space of at most 10 nodes, made without it: each code is
+    # "[d, d, ..., d]", so one slice assignment a position writes it.  None
+    # for any other codes.
     try:
         digits = b"".join(map(bytes, codes))  # refuses a degree that is no byte
         (size,) = set(map(len, codes))
     except (TypeError, ValueError):
-        return json.dumps(codes)
+        return None
     if set(map(type, codes)) != {tuple} or digits.translate(None, bytes(range(10))):
-        return json.dumps(codes)
+        return None
     width = 3 * size + 2
     text = bytearray(b"[" + b", ".join([b"0"] * size) + b"], ") * len(codes)
     digits = digits.translate(_DIGITS)

@@ -956,6 +956,48 @@ def test_decimal_is_loaded_only_by_count_and_long_numbers(argv, code, uses_decim
     assert json.loads(result.stdout.splitlines()[-1]) == [code, [False, uses_decimal]]
 
 
+_MODULE_PROBE = """
+import sys
+watched = {"dataclasses", "inspect", "typing", "json"}
+loaded = [sorted(watched & set(sys.modules))]
+from degtree.cli import main
+loaded.append(sorted(watched & set(sys.modules)))
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+loaded.append(sorted(watched & set(sys.modules)))
+import json
+print(json.dumps([code, loaded]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, uses_json",
+    [
+        ([], False),
+        (["check", "--degrees", "0:4,1:1,2:1,3:1"], False),
+        (["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "1"], False),
+        (["enumerate", "--degrees", "0:5,1:2,2:2,3:1"], False),
+        (["enumerate", "--degrees", "0:5,1:2,2:2,3:1", "--format", "json"], False),
+        # the alphabet file is JSON
+        (["fuzz-expr", "--degrees", "0:4,1:1,2:1,3:1", "--alphabet", ALPHABET, "--seed", "1",
+          "--count", "3", "--style", "infix"], True),
+        (["stats", "--degrees", "0:5,1:2,2:2,3:1", "--samples", "3", "--seed", "1"], True),
+    ],
+    ids=["import", "check", "small_sample", "enumerate", "enumerate_json", "small_fuzz_expr", "small_stats"],
+)
+def test_start_up_loads_no_dataclasses_inspect_or_typing(argv, uses_json):
+    # -S, since site (through .pth files) may load typing and json itself;
+    # PYTHONPATH still applies
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _MODULE_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, [[], [], ["json"] if uses_json else []]]
+
+
 @pytest.mark.parametrize(
     "argv, lines_read",
     [

@@ -138,6 +138,48 @@ class TestDecode:
             assert decoded == brute_well_formed(seq), seq
 
 
+class TestTreeNode:
+    # a plain class; the expected values are what it gave as a dataclass
+
+    def test_repr(self):
+        assert repr(figure_tree()) == (
+            "TreeNode(outdegree=3, children=[TreeNode(outdegree=1, children=[TreeNode(outdegree=0, children=[])]), "
+            "TreeNode(outdegree=2, children=[TreeNode(outdegree=0, children=[]), TreeNode(outdegree=0, children=[])]), "
+            "TreeNode(outdegree=0, children=[])])"
+        )
+        assert repr(TreeNode(0, None)) == "TreeNode(outdegree=0, children=None)"
+
+    def test_equality(self):
+        assert figure_tree() == figure_tree()
+        assert not figure_tree() != figure_tree()
+        assert TreeNode(1, [leaf()]) != TreeNode(1, [TreeNode(1)])
+        assert not TreeNode(0) == TreeNode(1)
+        assert TreeNode(0) != (0, [])
+        assert TreeNode(0).__eq__((0, [])) is NotImplemented
+        assert TreeNode(0) != type("Node", (TreeNode,), {})(0)  # only the same class
+
+    def test_unhashable(self):
+        assert TreeNode.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(leaf())
+
+    def test_children(self):
+        first, second = TreeNode(0), TreeNode(0)
+        assert first.children == [] and first.children is not second.children
+        assert TreeNode(0, None).children is None
+        children = [leaf()]
+        assert TreeNode(1, children).children is children
+
+    def test_keywords_and_match(self):
+        node = TreeNode(outdegree=1, children=[leaf()])
+        assert node == TreeNode(1, [leaf()])
+        match node:
+            case TreeNode(degree, [child]):
+                assert (degree, child) == (1, leaf())
+            case _:
+                pytest.fail(f"{node!r} did not match")
+
+
 class TestEncode:
     def test_examples(self):
         assert encode_prefix(leaf()) == [0]

@@ -134,6 +134,47 @@ class TestDecompose:
             assert decompose(seq) == SegmentDecomposition(len(seq), 1, 0)
 
 
+class TestSegmentDecomposition:
+    # a plain class; the expected values are what it gave as a frozen dataclass
+    FIELDS = ("complete_prefix_length", "complete_expression_count", "tail_charge")
+
+    def test_repr(self):
+        assert repr(decompose([0, 0, 0, 0, 1, 2, 3])) == (
+            "SegmentDecomposition(complete_prefix_length=4, complete_expression_count=4, tail_charge=-3)"
+        )
+
+    def test_equality_and_hash(self):
+        split = SegmentDecomposition(1, 1, 0)
+        assert split == SegmentDecomposition(1, 1, 0)
+        assert not split != SegmentDecomposition(1, 1, 0)
+        assert split != SegmentDecomposition(1, 1, 1)
+        assert split != (1, 1, 0) and not split == (1, 1, 0)
+        assert split.__eq__((1, 1, 0)) is NotImplemented
+        assert hash(split) == hash((1, 1, 0))
+        assert len({split, SegmentDecomposition(1, 1, 0), SegmentDecomposition(4, 4, -3)}) == 2
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_frozen(self, field):
+        split = SegmentDecomposition(7, 1, 0)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(split, field, 2)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(split, field)
+        with pytest.raises(AttributeError):
+            split.other = 2
+        assert split == SegmentDecomposition(7, 1, 0)
+
+    def test_keywords_and_match(self):
+        split = SegmentDecomposition(complete_prefix_length=4, complete_expression_count=4, tail_charge=-3)
+        assert split == decompose([0, 0, 0, 0, 1, 2, 3])
+        assert SegmentDecomposition.__match_args__ == self.FIELDS
+        match split:
+            case SegmentDecomposition(length, count, tail):
+                assert (length, count, tail) == (4, 4, -3)
+            case _:
+                pytest.fail(f"{split!r} did not match")
+
+
 class TestDegreeMultiset:
     def test_from_degrees_and_accessors(self):
         multiset = DegreeMultiset.from_degrees([2, 0, 0, 1, 0, 0, 3])

@@ -111,6 +111,27 @@ def test_json_of_other_outcomes_falls_back_to_json_dumps(outcomes):
     assert report.to_json() == json.dumps(_payload(report))
 
 
+def test_report_is_a_plain_record():
+    # the expected values are what FrequencyReport gave as a dataclass
+    report = FrequencyReport({(0, 1, 0): 3, (1, 0, 0): 0}, 3, 3.0, 1, 2**64 - 1)
+    assert repr(report) == (
+        "FrequencyReport(outcome_counts={(0, 1, 0): 3, (1, 0, 0): 0}, total_samples=3, chi_square=3.0, "
+        "degrees_of_freedom=1, seed=18446744073709551615)"
+    )
+    same = FrequencyReport(outcome_counts={(0, 1, 0): 3, (1, 0, 0): 0}, total_samples=3, chi_square=3.0,
+                           degrees_of_freedom=1, seed=2**64 - 1)
+    assert report == same and not report != same
+    assert report != FrequencyReport({(0, 1, 0): 3, (1, 0, 0): 0}, 3, 3.0, 1, 7)
+    assert report != ({(0, 1, 0): 3, (1, 0, 0): 0}, 3, 3.0, 1, 2**64 - 1)
+    with pytest.raises(TypeError):
+        hash(report)
+    match report:
+        case FrequencyReport(counts, samples, chi_square, freedom, seed):
+            assert (counts, samples, chi_square, freedom, seed) == ({(0, 1, 0): 3, (1, 0, 0): 0}, 3, 3.0, 1, 2**64 - 1)
+        case _:
+            pytest.fail(f"{report!r} did not match")
+
+
 def test_input_validation():
     good = DegreeMultiset({0: 2, 2: 1})
     with pytest.raises(ValueError):
