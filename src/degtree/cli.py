@@ -41,9 +41,9 @@ EXIT_TOO_LARGE = 3
 _FORMATS = ("prefix", "sexpr", "dot", "json")
 
 # Most nodes a multiset may have in sample, count, stats and fuzz-expr.  A
-# 1e7-node prefix sample takes about 1.8 s and 190 MB on a 2-core box; far
-# larger specs would only fail with a MemoryError, after a long allocation
-# or none.
+# 1e7-node prefix sample takes about 2 s and peaks at 60 MB RSS on a
+# 2-core box; far larger specs would only fail with a MemoryError, after a
+# long allocation or none.
 _MAX_NODES = 10_000_000
 
 

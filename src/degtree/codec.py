@@ -13,6 +13,7 @@ sampler's chunks, flat runs of whole codes.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from itertools import chain
 from operator import getitem, index, mul, ne
 
 from .errors import MissingArityError, TrailingSymbolsError, TruncatedCodeError, _Record
@@ -103,8 +104,8 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 # chunk of a larger tree.  A block holds about 80 bytes a node, and the
 # sexpr text of a tree is about 3 bytes a node.
 _BLOCK = 1 << 12
-# Most nodes of whole trees in a block of prefix digits; a larger tree is
-# one block, its text twice its code's bytes.  Blocks of 2^12 nodes made
+# Most nodes in a block of prefix digits: whole trees, or a run of a larger
+# tree.  Its text is twice its code's bytes.  Blocks of 2^12 nodes made
 # `sample --count` 3-10% slower on trees of 3 and 10 nodes.
 _DIGIT_BLOCK = 1 << 18
 
@@ -200,22 +201,25 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
     style, ``"prefix"`` or ``"infix"``, and each chunk is a pair: the codes
     and a list of the id of each node's symbol (see ``OperatorAlphabet``).
     A chunk is cut into runs of as many whole trees as fill a block, and a
-    larger tree into runs of ``_BLOCK`` nodes (digits are never cut).  Each
-    tree's text ends in ``end``, but a blank line separates dot trees and a
-    newline ends digit lines.  A block fills one list with a fixed number
-    of pieces per node by slice assignment and joins it once.
+    larger tree into runs of ``_BLOCK`` nodes (``_DIGIT_BLOCK`` for digits).
+    Each tree's text ends in ``end``, but a blank line separates dot trees
+    and a newline ends digit lines.  A block fills one list with a fixed
+    number of pieces per node by slice assignment and joins it once.
     """
     header = "digraph tree {\n  "
     # whole trees a run (a pass per code doubled the time of 3e5 three-node
-    # trees as digits); an empty code is one run, which _structure refuses
+    # trees as digits), or digits of a larger tree; an empty code is one
+    # run, which _structure refuses
     per = size * max((_DIGIT_BLOCK if fmt == "digits" else _BLOCK) // (size or 1), 1)
+    per = _DIGIT_BLOCK if fmt == "digits" and size > _DIGIT_BLOCK else per
     for chunk in chunks:
         chunk, marks = chunk if alphabet else (chunk, None)
         for first, codes in _runs(chunk, per):
             if fmt == "digits":  # each digit, then a space or a newline, is a byte
                 out = bytearray(b" ") * (2 * len(codes))
                 out[::2] = codes.translate(_DIGITS)
-                out[2 * size - 1 :: 2 * size] = b"\n" * (len(codes) // size)
+                ends = range(2 * ((size - 1 - first) % size) + 1, len(out), 2 * size)  # a tree's last node
+                out[ends.start :: ends.step] = b"\n" * len(ends)
                 yield out.decode("ascii")  # str, not bytes: output may be any text stream
             elif fmt == "dot" and len(codes) <= _BLOCK:
                 yield _dot_trees(codes, size, header)
@@ -336,10 +340,11 @@ def render_expression(
     """Render the tree of ``code`` as an expression, drawing each symbol uniformly.
 
     Symbols are assigned in preorder via ``source.next_below``; a
-    :class:`RandomSource` draws them in one batch of the same words, by
-    the draw kernel in ``rng`` that also draws the shuffles.  The source
-    must not be one that is mid-way through producing the tree itself,
-    otherwise labelling would correlate with shape.  Styles:
+    :class:`RandomSource` draws them in one batch of the same words (in
+    blocks past 2**18 nodes), by the draw kernel in ``rng`` that also draws
+    the shuffles.  The source must not be one that is mid-way through
+    producing the tree itself, otherwise labelling would correlate with
+    shape.  Styles:
 
     * ``"prefix"``: space-separated Polish notation, ``op a1 ... ak``.
     * ``"infix"``: fully parenthesised; binary nodes as ``(a op b)``,
@@ -356,5 +361,5 @@ def render_expression(
     for _ in _structure(code, 0, _BLOCK):
         pass
     ranges = list(map(alphabet._labels(set(code)).__getitem__, code))
-    draws = next(_draw_chunk(source, list(map(len, ranges)), 1)[1])
+    draws = chain.from_iterable(next(_draw_chunk(source, list(map(len, ranges)), 1)[1]))
     return "".join(_blocks([(code, list(map(getitem, ranges, draws)))], len(code), style, "", alphabet))

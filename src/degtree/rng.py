@@ -10,13 +10,17 @@ rows are known without drawing rows ``0..r-1``, so one function draws
 the bounded values of a run of rows, a chunk of the shuffles of many
 trees or the labels of one expression, from one batch whose rows match
 the ``next_below`` chain word for word, and hands it over whole, as a
-2-D array, and row by row.  A row may also carry raw words past its
+2-D array, and row by row.  A single row longer than ``_BLOCK_WORDS``,
+the shuffle of one large tree or the labels of one large expression, is
+drawn and handed over a block at a time instead, so its draws never take
+more memory than one block.  A row may also carry raw words past its
 draws: an n-node expression tree takes n - 1 shuffle words, then one
 label word per node, so with no rejection tree ``r`` of a run starts at
-word ``r * (2n - 1)``, and a chunk of such trees is one batch whose label
-words are reduced once the rotated trees give each node's bound.  Such a
-batch equals the chain when no word exceeds 2**64 minus the largest bound,
-shuffle or label, of its words; any other batch is redrawn by next_below.
+word ``r * (2n - 1)``, and a chunk of such trees is one batch, however
+long, whose label words are reduced once the rotated trees give each
+node's bound.  A batch or block equals the chain when no word exceeds
+2**64 minus the largest bound, shuffle or label, of its words; any other
+is redrawn by next_below, with the rest of its row.
 
 The generator is hand-rolled rather than borrowed from ``random.Random``
 so that seeded streams are stable across interpreter versions; the golden
@@ -42,6 +46,14 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 # From about this many words one numpy batch beats the next_below chain.
 _BATCH_WORDS = 32
+# Most words of a single row drawn at once (2 MiB of uint64); a longer row
+# is drawn a block at a time.  Blocks of 2**16 words made the shuffle of a
+# 1e5-node tree 2-7% slower (in-process, 2-core x86-64).
+_BLOCK_WORDS = 1 << 18
+# Most words next_words mixes in one pass (512 KiB): on a 2-core x86-64
+# box a 2**18-word batch mixed in such slices took 0.8-1.1 ms, against
+# 2.4-2.5 ms in one pass.
+_MIX_WORDS = 1 << 16
 
 
 def _mix(z: int) -> int:
@@ -106,16 +118,19 @@ class RandomSource:
         """
         import numpy as np
 
-        # in place, so only z and one shifted copy are ever held
+        # in place, a cache-sized slice at a time, so only z and one slice's
+        # shifted copy are ever held
         z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        z *= np.uint64(_GOLDEN)
-        z += np.uint64(self.seed)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
+        for start in range(0, n, _MIX_WORDS):
+            part = z[start : start + _MIX_WORDS]
+            part *= np.uint64(_GOLDEN)
+            part += np.uint64(self.seed)
+            part ^= part >> np.uint64(30)
+            part *= np.uint64(_MIX1)
+            part ^= part >> np.uint64(27)
+            part *= np.uint64(_MIX2)
+            part ^= part >> np.uint64(31)
         return z
 
     def rewind(self, n: int) -> None:
@@ -129,29 +144,62 @@ def _draw_chunk(source, bounds, rows: int, width: int = 0, top: int = 0):
     # The draws of ``rows`` rows, each with the values of
     # [source.next_below(b) for b in bounds] (the bounds n down to 2 of a
     # Fisher-Yates shuffle, or the symbol counts of expression labels), as
-    # a (batch, rows) pair.  A RandomSource draws them in one next_words
-    # batch once they are _BATCH_WORDS words: batch is that 2-D uint64 array
-    # and rows yields its rows as memoryviews, whose items become Python
-    # ints one at a time, where a list would hold them all (about 36 MB for
-    # a 1e6-node shuffle); the caller drops both when done with them.  A
-    # batch row holds ``width`` words (default: one per bound), the last
-    # left raw for the caller to reduce by bounds up to ``top``.  As
-    # next_below(b) takes every word up to 2**64 - b, a batch is kept only
-    # if no word is above 2**64 minus its largest bound; any other
-    # (probability < words * bound / 2**64) is rewound, and its rows come from
-    # next_below like any other source's, with batch None, so every path
-    # consumes the identical stream.
+    # a (batch, rows) pair; rows yields each row as an iterable of blocks of
+    # its draws, to be used up in turn.  A RandomSource draws them in one
+    # next_words batch once they are _BATCH_WORDS words: batch is that 2-D
+    # uint64 array, and a row's one block is its row of the batch as a
+    # memoryview, whose items become Python ints one at a time, where a list
+    # would hold them all (about 36 MB for a 1e6-node shuffle); the caller
+    # drops both when done with them.  A batch row holds ``width`` words
+    # (default: one per bound), the last left raw for the caller to reduce
+    # by bounds up to ``top``.  A single row of more than _BLOCK_WORDS draws
+    # and no raw words comes from _row_blocks instead, with an empty (1, 0)
+    # batch.  As next_below(b) takes every word up to 2**64 - b, a batch or
+    # block is kept only if no word is above 2**64 minus its largest bound;
+    # any other (probability < words * bound / 2**64) is rewound, and its
+    # draws and the rest of its row come from next_below like any other
+    # source's (a whole batch with batch None), so every path consumes the
+    # identical stream.
     size = rows * len(bounds)
     if size >= _BATCH_WORDS and isinstance(source, RandomSource):
         import numpy as np
 
+        if rows == 1 and size > _BLOCK_WORDS and width <= size:
+            return np.empty((1, 0), dtype=np.uint64), iter([_row_blocks(source, bounds)])
         words = source.next_words(rows * (width or len(bounds))).reshape(rows, -1)
-        if isinstance(bounds, range):
-            limits = np.arange(bounds.start, bounds.stop, bounds.step, dtype=np.uint64)
-        else:
-            limits = np.array(bounds, dtype=np.uint64)
-        if words.max() <= np.uint64(_WORD_SPAN - max(top, int(limits.max()))):
-            words[:, : len(bounds)] %= limits
-            return words, map(memoryview, words)
+        if _kept(words, bounds, top):
+            return words, zip(map(memoryview, words))
         source.rewind(words.size)
-    return None, ((source.next_below(b) for b in bounds) for _ in range(rows))
+    return None, zip((source.next_below(b) for b in bounds) for _ in range(rows))
+
+
+def _row_blocks(source, bounds):
+    # The draws of one row of bounds, _BLOCK_WORDS at a time: each kept block
+    # as a memoryview, released when the next block is asked for, so at most
+    # one is held; after a rewound one, the rest of the row from next_below.
+    for start in range(0, len(bounds), _BLOCK_WORDS):
+        part = bounds[start : start + _BLOCK_WORDS]
+        words = source.next_words(len(part)).reshape(1, -1)
+        if not _kept(words, part):
+            source.rewind(len(part))
+            yield (source.next_below(b) for b in bounds[start:])
+            return
+        with memoryview(words[0]) as view:
+            del words
+            yield view
+
+
+def _kept(words, bounds, top: int = 0) -> bool:
+    # Whether every row of words, a 2-D uint64 array, matches the chain: no
+    # word above 2**64 minus the largest of bounds and top.  If so, its first
+    # len(bounds) columns are reduced by bounds in place.
+    import numpy as np
+
+    if isinstance(bounds, range):  # 4 bytes a bound: a shuffle has fewer than 2**32 items
+        limits = np.arange(bounds.start, bounds.stop, bounds.step, dtype=np.uint32)
+    else:
+        limits = np.array(bounds, dtype=np.uint64)
+    if words.max() > np.uint64(_WORD_SPAN - max(top, int(limits.max()))):
+        return False
+    words[:, : len(bounds)] %= limits
+    return True

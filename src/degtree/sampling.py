@@ -10,9 +10,10 @@ satisfying the multiset.  Each stage is linear in the node count.
 One loop, ``_chunks``, walks the chunks of a sample.  Each turn takes
 the draws of one shuffle, or of a chunk of them, from one
 ``rng._draw_chunk`` call, from ``next_below`` or one numpy batch of the
-same words, and the swap loop only swaps.  The multiset expands to
-``bytes`` when every degree fits a byte, else to a ``list``, and each
-chunk comes out as one flat run of whole n-node codes of the same type.
+same words (a long shuffle's a block at a time), and the swap loop only
+swaps.  The multiset expands to ``bytes`` when every degree fits a byte,
+else to a ``list``, and each chunk comes out as one flat run of whole
+n-node codes of the same type.
 A batched chunk of bytes is shuffled row by row, or by a column kernel,
 one numpy step per position, from 64 trees up; its draws are dropped,
 and one numpy step finds every rotation point, the first peak of the
@@ -33,12 +34,14 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
+from . import rng
 from .degrees import DegreeMultiset, _charge_peak
 from .errors import NotConstructibleError
 from .rng import _draw_chunk
 
-# Most words one chunk of sample_trees draws (512 KiB of uint64, plus the
-# shifted copy next_words holds while mixing) unless a single row is longer.
+# Most words one chunk of many trees of sample_trees draws (512 KiB of
+# uint64, plus the shifted copy next_words holds while mixing); a single row
+# is drawn at most rng._BLOCK_WORDS words at a time.
 _CHUNK_WORDS = 1 << 16
 # The fewest trees a batched chunk of bytes must hold to go to the column
 # kernel, which pays numpy's per-call cost once per position rather than
@@ -56,16 +59,20 @@ def fisher_yates_shuffle(degrees: Sequence, source) -> list:
     drawn back to front, one draw per position, so a stub source scripted
     with ``len(degrees) - 1`` values walks every permutation path exactly
     once.  A :class:`RandomSource` gets its draws computed in one numpy
-    batch over the identical word stream once there are enough of them.
+    batch over the identical word stream once there are enough of them,
+    or in blocks of a bounded size past 2**18 of them.
     The items may be of any kind.
     """
     return _swapped(list(degrees), next(_draw_chunk(source, range(len(degrees), 1, -1), 1)[1]))
 
 
-def _swapped(values, draws):
-    # The one Fisher-Yates swap loop, in place; draws come back to front.
-    for i, j in zip(range(len(values) - 1, 0, -1), draws):
-        values[i], values[j] = values[j], values[i]
+def _swapped(values, blocks):
+    # The one Fisher-Yates swap loop, in place; draws come back to front, a
+    # block of them at a time, each block used up before the next is taken.
+    i = len(values)
+    for draws in blocks:
+        for i, j in zip(range(i - 1, 0, -1), draws):
+            values[i], values[j] = values[j], values[i]
     return values
 
 
@@ -229,17 +236,25 @@ def _column_table(sequence: bytes, draws):
 def _rotated(table, n: int) -> bytes:
     # The rows of table, n-node shuffles (or their bytes), each rotated at
     # the first peak of its prefix charge, as bytes: one row by two slices,
+    # its peak found a block at a time from the charge before the block,
     # more by each row's window of the table set twice side by side.
     import numpy as np
 
     table = np.frombuffer(table, dtype=np.uint8).reshape(-1, n) if isinstance(table, bytearray) else table
+    if len(table) == 1:
+        row, peak, k, level = table[0], -n, 0, 0  # a charge-1 row's charges are above -n
+        for start in range(0, n, rng._BLOCK_WORDS):
+            charge = np.subtract(1, row[start : start + rng._BLOCK_WORDS], dtype=np.int32)
+            charge.cumsum(out=charge)
+            top = int(charge.argmax())
+            if level + int(charge[top]) > peak:
+                peak, k = level + int(charge[top]), start + top + 1
+            level += int(charge[-1])
+        return b"".join((row[k:], row[:k]))
     charge = np.subtract(1, table, dtype=np.int32)
     charge.cumsum(axis=1, out=charge)
     start = charge.argmax(axis=1) + 1
     del charge
-    if len(table) == 1:
-        k = int(start[0])
-        return table[0, k:].tobytes() + table[0, :k].tobytes()
     doubled = np.concatenate((table, table), axis=1)
     row, step = doubled.strides
     windows = np.lib.stride_tricks.as_strided(doubled, (len(table), n + 1, n), (row, step, step), writeable=False)

@@ -666,6 +666,9 @@ _SECOND_SHUFFLE_REJECTED = _seed_of_max_word(36)
 # Word 35 is the first tree's last label, a leaf's.  tests/data/alphabet.json has 4 leaf symbols and
 # next_below(4) takes 2**64 - 1, but the batch is redrawn: 2**64 - 1 is within 4 of 2**64.
 _LEAF_SLIVER = _seed_of_max_word(35)
+# One 300 001-node tree draws 300 000 shuffle words in blocks of 2**18: this seed's word 2**18 + 1, the
+# first of the second block, is 2**64 - 1, so the second block is rewound and drawn by next_below.
+_SECOND_BLOCK_REJECTED = _seed_of_max_word(2**18 + 1)
 _PINNED_MD5 = [
     (["sample", "--degrees", "0:2,2:1", "--seed", "5", "--count", "300000"],
      "5f6aca0d5ba595b2a26ab67a99a46d6c"),
@@ -705,6 +708,10 @@ _PINNED_MD5 = [
     # one 800 001-node tree, past the node count from which the swap loop runs over bytes
     (["sample", "--degrees", "0:300001,1:300000,2:100000,3:100000", "--seed", "21"],
      "e1a2e441ff1b2a4ea91b3676b7376635"),
+    # the second draw block rejected; md5 taken before rows were drawn in blocks, when the whole
+    # row was rewound and drawn by next_below
+    (["sample", "--degrees", "0:150001,2:150000", "--seed", _SECOND_BLOCK_REJECTED],
+     "765fdbb800ae7dfdecab33f4ceeea894"),
     # a degree above 255, in two batched chunks
     (["sample", "--degrees", "0:350,2:50,300:1", "--seed", "8", "--count", "200"],
      "263a0c10f288d19dc78901ec0a4f1527"),
@@ -748,8 +755,8 @@ _PINNED_MD5 = [
     ids=["sample_300000", "enumerate_756", "enumerate_756_json", "fuzz_batched", "fuzz_scalar",
          "enumerate_756_sexpr", "enumerate_756_dot", "forest_json", "forest_dot", "wide_prefix",
          "chunks_sexpr", "chunks_json", "chunks_dot", "column_stats", "column_sample", "byte_swap",
-         "wide_degree", "row_stats", "wide_degree_sexpr", "wide_degree_dot", "fuzz_infix_2000",
-         "fuzz_chunk", "fuzz_chunk_infix", "fuzz_runs_infix", "fuzz_label_rejected",
+         "second_block_rejected", "wide_degree", "row_stats", "wide_degree_sexpr", "wide_degree_dot",
+         "fuzz_infix_2000", "fuzz_chunk", "fuzz_chunk_infix", "fuzz_runs_infix", "fuzz_label_rejected",
          "fuzz_shuffle_rejected", "fuzz_sliver_rows", "fuzz_sliver_columns", "fuzz_one_symbol"],
 )
 def test_pinned_output_md5(capsys, argv, md5):

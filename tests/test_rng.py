@@ -1,6 +1,6 @@
 import pytest
 
-from degtree import RandomSource
+from degtree import RandomSource, rng
 
 
 def test_same_seed_same_stream():
@@ -67,6 +67,14 @@ def test_batch_words_match_scalar_words():
     got += mixed.next_words(10).tolist()
     got += [mixed.next_word() for _ in range(2)]
     assert got == expected
+
+
+@pytest.mark.parametrize("size", [1, 6, 7, 8, 64])
+def test_batch_mixed_in_slices_matches_scalar_words(size, monkeypatch):
+    # next_words mixes at most _MIX_WORDS words a pass
+    monkeypatch.setattr(rng, "_MIX_WORDS", 7)
+    scalar, batched = RandomSource(size), RandomSource(size)
+    assert batched.next_words(size).tolist() == [scalar.next_word() for _ in range(size)]
 
 
 def test_rewind_unconsumes_a_batch():

@@ -23,7 +23,8 @@ from degtree import (
     sample_tree,
     sample_trees,
 )
-from degtree import rng, sampling
+from degtree import OperatorAlphabet, rng, sampling
+from degtree.codec import _DIGIT_BLOCK, _blocks, render_expression
 from degtree.rng import _GOLDEN
 from degtree.sampling import _COLUMN_ROWS, _rotated, _swapped, _tree_chunks
 
@@ -154,7 +155,7 @@ class TestFindRotationPoint:
             k = decompose(seq).complete_prefix_length
             assert 1 <= k <= len(seq)
             assert find_rotation_point(seq) == k
-            assert _swapped(list(seq), range(len(seq) - 1, 0, -1)) == list(seq)
+            assert _swapped(list(seq), [range(len(seq) - 1, 0, -1)]) == list(seq)
             assert _rotated(bytearray(seq), len(seq)) == bytes(rotate(seq, k))
             by_length.setdefault(len(seq), []).append(seq)
         for n, family in by_length.items():
@@ -347,6 +348,29 @@ class TestSampleTrees:
         finally:
             tracemalloc.stop()
         assert held / len(flat) < 4
+
+    def test_one_long_tree_peaks_below_8_bytes_a_node(self):
+        # 600 000 draws in three blocks, swapped in a bytearray: at its peak
+        # the sampler holds the sequence, the bytearray, and one block of
+        # words and its bounds (17 bytes a node when the draws were one batch)
+        multiset = _binary_multiset(600_001)
+        assert multiset.total_nodes - 1 > 2 * rng._BLOCK_WORDS and multiset.total_nodes > sampling._BYTE_NODES
+        next(_tree_chunks(multiset, RandomSource(2), 1))  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            flat = next(_tree_chunks(multiset, RandomSource(3), 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(flat) < 8
+
+    def test_one_long_digit_line_in_blocks(self):
+        # a tree longer than _DIGIT_BLOCK is written in runs of _DIGIT_BLOCK
+        # nodes, and only its last node takes the newline
+        (flat,) = _tree_chunks(_binary_multiset(600_001), RandomSource(4), 1)
+        pieces = list(_blocks([flat], len(flat), "digits"))
+        assert len(pieces) == 3 and max(map(len, pieces)) <= 2 * _DIGIT_BLOCK
+        assert "".join(pieces) == " ".join(map(str, flat)) + "\n"
 
     @pytest.mark.parametrize("size", [1023, 1024, 1025, 5000, 100_000])
     def test_equals_shuffle_then_rotate(self, size):
@@ -592,6 +616,90 @@ class TestTableKernel:
         assert tables == [(bytearray, 2001)] and fast.batches == [2000]
         assert type(flat) is bytes
         assert [list(flat)] == list(_shuffled_then_rotated(multiset, slow, 1))
+
+
+def _block_sizes(words, block):
+    """The next_words batches of one row of words drawn with blocks of block words."""
+    return [words] if words <= block else [min(block, words - start) for start in range(0, words, block)]
+
+
+class TestRowBlocks:
+    # A single row of more than rng._BLOCK_WORDS draws is drawn a block at a
+    # time, each kept or rewound by the batch rule; after a rewound block the
+    # rest of the row comes from next_below, so every path takes the chain's
+    # words.  Blocks of 64 words here, and one tree a chunk.
+    BLOCK = 64
+    FIVE = OperatorAlphabet({d: [f"s{d}{k}" for k in range(5)] for d in range(3)})
+
+    def small_blocks(self, patch):
+        patch.setattr(rng, "_BLOCK_WORDS", self.BLOCK)
+        patch.setattr(sampling, "_CHUNK_WORDS", self.BLOCK)
+
+    def draws(self, words):
+        # per caller: a function of a source that draws rows of words draws,
+        # and the number of rows
+        multiset = _binary_multiset(words + 1)
+        code = sample_tree(_binary_multiset(words), RandomSource(words))
+        return {
+            "shuffle": (lambda source: fisher_yates_shuffle(range(words + 1), source), 1),
+            "sample_trees": (lambda source: list(sample_trees(multiset, source, 3)), 3),
+            "labels": (lambda source: render_expression(code, self.FIVE, source, "infix"), 1),
+        }
+
+    @pytest.mark.parametrize("caller", ["shuffle", "sample_trees", "labels"])
+    @pytest.mark.parametrize("words", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_blocks_equal_the_scalar_chain(self, words, caller, monkeypatch):
+        self.small_blocks(monkeypatch)
+        draw, rows = self.draws(words)[caller]
+        fast, slow = RecordingSource(words), ScalarOnly(words)
+        assert draw(fast) == draw(slow)
+        assert (fast.batches, fast.rewinds) == (_block_sizes(words, self.BLOCK) * rows, 0)
+        assert fast.words_consumed == slow._source.words_consumed == words * rows
+
+    @pytest.mark.parametrize("caller", ["shuffle", "sample_trees", "labels"])
+    def test_rejected_second_block_hands_the_rest_to_next_below(self, caller, monkeypatch):
+        # word BLOCK + 1, the first of the second block, is 2**64 - 1, which
+        # next_below rejects for the bound 3 * BLOCK + 6 - BLOCK of the shuffle
+        # and the 5 symbols of every label: the first block is kept, the second
+        # rewound, and the rest of the row drawn by next_below
+        self.small_blocks(monkeypatch)
+        words = 3 * self.BLOCK + 5
+        seed = (_unmix(2**64 - 1) - (self.BLOCK + 1) * _GOLDEN) % 2**64
+        probe = RandomSource(seed)
+        probe.next_words(self.BLOCK)
+        assert probe.next_word() == 2**64 - 1
+        draw, rows = self.draws(words)[caller]
+        fast, slow = RecordingSource(seed), ScalarOnly(seed)
+        assert draw(fast) == draw(slow)
+        later = _block_sizes(words, self.BLOCK) * (rows - 1)  # the trees after the first
+        assert (fast.batches, fast.rewinds) == ([self.BLOCK, self.BLOCK] + later, 1)
+        assert fast.words_consumed == slow._source.words_consumed == words * rows + 1
+        assert fast.next_word() == slow._source.next_word()
+
+    @given(
+        multiset=_wide_multisets(),
+        block=st.integers(1, 300),
+        byte_nodes=st.integers(0, 300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_one_tree_in_blocks_equals_shuffle_then_rotate(self, multiset, block, byte_nodes, seed):
+        # the draws and the rotation point of one tree, a block at a time,
+        # wherever block puts the seams
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "_BLOCK_WORDS", block)
+            patch.setattr(sampling, "_BYTE_NODES", byte_nodes)
+            fast = RecordingSource(seed)
+            (flat,) = _tree_chunks(multiset, fast, 1)
+        slow = ScalarOnly(seed)
+        assert [list(flat)] == list(_shuffled_then_rotated(multiset, slow, 1))
+        assert fast.words_consumed == slow._source.words_consumed
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_one_row_rotates_a_block_at_a_time(self, block, charge_one_family, monkeypatch):
+        # the first peak of the prefix charge, carried across every seam
+        monkeypatch.setattr(rng, "_BLOCK_WORDS", block)
+        for seq in charge_one_family:
+            assert _rotated(bytearray(seq), len(seq)) == bytes(rotate(seq, find_rotation_point(seq)))
 
 
 class TestPrefixLawPastEnumeration:
