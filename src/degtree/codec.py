@@ -97,13 +97,18 @@ _JSON_CLOSE = _Pieces("]}".__mul__)
 # what follows a node in JSON: its first child, or after a leaf a later sibling
 _JSON_AFTER = _Pieces(lambda d: "" if d else ",")
 _PREFIX_PIECES = _Pieces(str)
-_DOT_LABELS = _Pieces(' [label="{}"];'.format)
+_DOT_LABELS = _Pieces(' [label="{}"];\n  '.format)
 # Byte d of a code with every degree below 10 becomes the ASCII digit d.
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-# Most nodes in a block: whole trees, which dot names from a table, or a
-# chunk of a larger tree.  A block holds about 80 bytes a node, and the
-# sexpr text of a tree is about 3 bytes a node.
+# Most nodes in a block: whole trees, or a chunk of a larger tree.  A block
+# holds about 80 bytes a node, and the sexpr text of a tree is about 3
+# bytes a node.
 _BLOCK = 1 << 12
+# Most nodes of a tree that dot writes whole, naming its nodes from tables
+# made once per call; a larger tree's lines go in chunks of _BLOCK nodes.
+# Runs of whole trees stay at _BLOCK nodes: runs of 2^14 nodes raised the
+# peak RSS of a render mix by about 1 MB.
+_DOT_NAMES = 1 << 14
 # Most nodes in a block of prefix digits: whole trees, or a run of a larger
 # tree.  Its text is twice its code's bytes.  Blocks of 2^12 nodes made
 # `sample --count` 3-10% slower on trees of 3 and 10 nodes.
@@ -201,7 +206,8 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
     style, ``"prefix"`` or ``"infix"``, and each chunk is a pair: the codes
     and a list of the id of each node's symbol (see ``OperatorAlphabet``).
     A chunk is cut into runs of as many whole trees as fill a block, and a
-    larger tree into runs of ``_BLOCK`` nodes (``_DIGIT_BLOCK`` for digits).
+    larger tree into runs of ``_BLOCK`` nodes (``_DIGIT_BLOCK`` for digits),
+    but dot writes a tree of up to ``_DOT_NAMES`` nodes whole.
     Each tree's text ends in ``end``, but a blank line separates dot trees
     and a newline ends digit lines.  A block fills one list with a fixed
     number of pieces per node by slice assignment and joins it once.
@@ -212,6 +218,9 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
     # run, which _structure refuses
     per = size * max((_DIGIT_BLOCK if fmt == "digits" else _BLOCK) // (size or 1), 1)
     per = _DIGIT_BLOCK if fmt == "digits" and size > _DIGIT_BLOCK else per
+    if fmt == "dot" and size <= _DOT_NAMES:  # each position's name, arrow and edge tail, for one tree
+        names = list(map(str, range(size)))
+        arrows, tails = [name + " -> " for name in names], [name + ";\n  " for name in names]
     for chunk in chunks:
         chunk, marks = chunk if alphabet else (chunk, None)
         for first, codes in _runs(chunk, per):
@@ -221,16 +230,31 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
                 ends = range(2 * ((size - 1 - first) % size) + 1, len(out), 2 * size)  # a tree's last node
                 out[ends.start :: ends.step] = b"\n" * len(ends)
                 yield out.decode("ascii")  # str, not bytes: output may be any text stream
-            elif fmt == "dot" and len(codes) <= _BLOCK:
-                yield _dot_trees(codes, size, header)
+            elif fmt == "dot" and size <= _DOT_NAMES:
+                n = len(codes)
+                if len(names) < n:  # repeated for the trees of the longest run yet
+                    names, arrows, tails = (table[:size] * (n // size) for table in (names, arrows, tails))
+                parents = next(_structure(codes, size))[2]
+                nodes = _dot_lines(names[:n], map(_DOT_LABELS.__getitem__, codes), n)
+                edges = _dot_lines(map(arrows.__getitem__, parents), tails[:n], n)
+                pieces = []
+                for start in range(0, n, size):
+                    pieces.append(header)
+                    pieces += nodes[2 * start : 2 * (start + size)]
+                    pieces += edges[2 * start + 2 : 2 * (start + size)]  # a root has no edge
+                    pieces[-1] = pieces[-1][:-2] + "}\n"
+                    header = "\ndigraph tree {\n  "
+                yield "".join(pieces)
             elif fmt == "dot":  # runs of the tree's node lines, then of its edge lines
                 for start, run in _runs(codes, _BLOCK):
-                    yield header * (not start) + "".join(_dot_lines(run, start, str))
+                    ids = map(str, range(start, start + len(run)))
+                    yield header * (not start) + "".join(_dot_lines(ids, map(_DOT_LABELS.__getitem__, run), len(run)))
                 for start, run, parents, _ in _structure(codes, size, _BLOCK):
-                    pieces = _dot_lines(run, start, str, parents)
-                    del pieces[: 4 * (not start)]  # the root has no edge
+                    arrows = [f"{p} -> " for p in parents]
+                    pieces = _dot_lines(arrows, [f"{i};\n  " for i in range(start, start + len(run))], len(run))
+                    del pieces[: 2 * (not start)]  # the root has no edge
                     if start + _BLOCK >= len(codes):
-                        pieces[-1] = ";\n}\n"
+                        pieces[-1] = pieces[-1][:-2] + "}\n"
                     yield "".join(pieces)
             else:
                 labels = alphabet and marks[first : first + len(codes)]
@@ -284,33 +308,12 @@ def _stream_text(slots, length: int, start: int, size: int, end: str) -> str:
     return "".join(pieces)
 
 
-def _dot_trees(forest, size: int, header: str) -> str:
-    # The dot text of a forest of size-node codes, the first tree opened by header.
-    parents = next(_structure(forest, size))[2]
-    name = (list(map(str, range(size))) * (len(forest) // size)).__getitem__
-    nodes, edges = _dot_lines(forest, 0, name), _dot_lines(forest, 0, name, parents)
-    pieces = []
-    for first in range(0, len(forest), size):
-        pieces.append(header)
-        pieces += nodes[3 * first : 3 * (first + size)]
-        pieces += edges[4 * first + 4 : 4 * (first + size)]  # a root has no edge
-        pieces[-1] = pieces[-1][:-3] + "\n}\n"
-        header = "\ndigraph tree {\n  "
-    return "".join(pieces)
-
-
-def _dot_lines(run, start: int, name, parents=None) -> list[str]:
-    # The pieces of the node lines of a run of nodes from position start, or
-    # given their parents, of their edge lines; each line ends in "\n  ".
-    ids = map(name, range(start, start + len(run)))  # name(position): a node's name
-    if parents is None:
-        pieces = ["\n  "] * (3 * len(run))
-        pieces[::3] = ids
-        pieces[1::3] = map(_DOT_LABELS.__getitem__, run)
-    else:
-        pieces = ["", " -> ", "", ";\n  "] * len(run)
-        pieces[::4] = map(name, parents)
-        pieces[2::4] = ids
+def _dot_lines(firsts, seconds, length: int) -> list[str]:
+    # The pieces of length dot lines, two a line: a node's name and its
+    # label, or an edge's arrow and its tail; each line ends in "\n  ".
+    pieces = [""] * (2 * length)
+    pieces[::2] = firsts
+    pieces[1::2] = seconds
     return pieces
 
 

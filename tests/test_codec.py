@@ -268,12 +268,14 @@ assert '  0 [label="1"];' in to_dot([1, 0])
     assert result.returncode == 0, result.stderr
 
 
-def _written(chunks, fmt, multiset, block):
-    # What the CLI writes for chunks of trees, with blocks of at most block nodes
+def _written(chunks, fmt, multiset, block, cap):
+    # What the CLI writes for chunks of trees, with blocks of at most block
+    # nodes, and dot trees of at most cap nodes named from tables
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codec, "_BLOCK", block)
         patch.setattr(codec, "_DIGIT_BLOCK", block)
+        patch.setattr(codec, "_DOT_NAMES", cap)
         patch.setattr(sys, "stdout", out)
         cli._write_trees(chunks, fmt, multiset)
     return out.getvalue()
@@ -286,6 +288,19 @@ _ONE_TREE = {
     "json": lambda code: to_json(code) + "\n",
     "dot": to_dot,
 }
+
+
+def _dot_of_nodes(code):
+    # The dot text of code, built from decode_prefix's TreeNodes: node lines
+    # in preorder, then an edge line to each child in preorder
+    labels, edges, stack = [], [], [(decode_prefix(code), -1)]
+    while stack:
+        node, parent = stack.pop()
+        if parent >= 0:
+            edges.append(f"  {parent} -> {len(labels)};")
+        stack += ((child, len(labels)) for child in reversed(node.children))
+        labels.append(f'  {len(labels)} [label="{node.outdegree}"];')
+    return "\n".join(["digraph tree {", *labels, *edges, "}\n"])
 
 
 class TestBlockWriter:
@@ -311,10 +326,44 @@ class TestBlockWriter:
         kinds = [bytes] if fmt == "prefix" and max(multiset.counts) < 10 else [bytes, list]
         for first, second in itertools.product(kinds, repeat=2):
             chunks = [first(flat[:cut]), second(flat[cut:])] if cut < len(flat) else [first(flat)]
-            assert _written(chunks, fmt, multiset, block) == expected, (first, second)
+            # dot trees of up to block nodes share runs, up to 2 * block
+            # are named from tables, and larger ones are written in chunks
+            assert _written(chunks, fmt, multiset, block, 2 * block) == expected, (first, second)
 
-    @given(code=st.lists(st.integers(-1, 4), max_size=14), block=st.integers(1, 20))
-    def test_malformed_codes_raise_as_decode_prefix_does(self, code, block):
+    @pytest.mark.parametrize("nodes", [-1, 0, 1], ids=["cap-1", "cap", "cap+1"])
+    @pytest.mark.parametrize("wide", [False, True], ids=["binary", "degree-256"])
+    def test_dot_trees_either_side_of_the_name_tables(self, nodes, wide):
+        # Three trees of cap - 1, cap or cap + 1 nodes, in 7-node blocks:
+        # up to cap nodes, a tree is named from the tables; past it, it is
+        # written in chunks.  A degree above 255 comes only in a list.
+        cap = 300
+        n = cap + nodes
+        multiset = DegreeMultiset({0: 256, 1: n - 257, 256: 1} if wide else {0: 100, 1: n - 199, 2: 99})
+        trees = list(sample_trees(multiset, RandomSource(n), 3))
+        expected = "\n".join(map(_dot_of_nodes, trees))
+        flat = [degree for tree in trees for degree in tree]
+        for kind in [list] if wide else [bytes, list]:
+            written = _written([kind(flat[:n]), kind(flat[n:])], "dot", multiset, 7, cap)
+            # lists of lines: pytest's diff of two long texts can take minutes
+            assert written.splitlines(True) == expected.splitlines(True), kind
+
+    def test_dot_tree_at_the_cap_renders_in_linear_memory(self):
+        # A tree of _DOT_NAMES nodes is written whole, from tables of each
+        # position's name, arrow and edge tail made once; they, the lines'
+        # pieces and the text held 9.2-9.6 times the text.
+        code = sample_tree(DegreeMultiset({0: 8192, 1: 1, 2: 8191}), RandomSource(5))
+        assert len(code) == codec._DOT_NAMES
+        to_dot(code)  # imports and memoised pieces are not the render's
+        tracemalloc.start()
+        try:
+            text = to_dot(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * len(text), (peak, len(text))
+
+    @given(code=st.lists(st.integers(-1, 4), max_size=14), block=st.integers(1, 20), cap=st.integers(1, 20))
+    def test_malformed_codes_raise_as_decode_prefix_does(self, code, block, cap):
         def outcome(read):
             try:
                 read(code)
@@ -325,6 +374,7 @@ class TestBlockWriter:
         expected = outcome(decode_prefix)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(codec, "_BLOCK", block)  # longer codes are read in chunks
+            patch.setattr(codec, "_DOT_NAMES", cap)  # longer dot codes too
             for render in (to_sexpr, to_json, to_dot):
                 assert outcome(render) == expected, render
 
