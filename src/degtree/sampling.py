@@ -11,14 +11,14 @@ One loop, ``_chunks``, walks the chunks of a sample.  Each turn takes
 the draws of one shuffle, or of a chunk of them, from one
 ``rng._draw_chunk`` call, from ``next_below`` or one numpy batch of the
 same words (a long shuffle's a block at a time), and the swap loop only
-swaps.  The multiset expands to ``bytes`` when every degree fits a byte,
-else to a ``list``, and each chunk comes out as one flat run of whole
-n-node codes of the same type.
-A batched chunk of bytes is shuffled row by row, or by a column kernel,
-one numpy step per position, from 64 trees up; its draws are dropped,
-and one numpy step finds every rotation point, the first peak of the
-prefix charge, and rotates every tree.  Any other chunk rotates tree by
-tree, without numpy.  All give the same trees from the same draws.
+swaps.  The multiset expands to a buffer of the narrowest unsigned ints
+that hold its degrees, ``bytes`` or else an ``array``, and each chunk
+comes out as one flat run of whole n-node codes of that type.  A batched
+chunk is shuffled row by row, or by a column kernel, one numpy step per
+position, from 64 trees up; its draws are dropped, and one numpy step
+finds every rotation point, the first peak of the prefix charge, and
+rotates every tree, all at the buffer's item width.  A ``next_below``
+chunk rotates tree by tree, without numpy.  All give the same trees.
 ``fuzz-expr`` takes the same loop: each tree's label draws follow its
 shuffle's in the stream, so a batched chunk draws both in one batch,
 looks up each label's bound from the rotated trees, and hands the
@@ -32,7 +32,9 @@ in Python slicing terms ``rotate(s, k) == s[k:] + s[:k]``.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator, Sequence
+from functools import partial
 
 from . import rng
 from .degrees import DegreeMultiset, _charge_peak
@@ -47,8 +49,8 @@ _CHUNK_WORDS = 1 << 16
 # kernel, which pays numpy's per-call cost once per position rather than
 # Python's once per node.  It broke even at 28-64 rows of 8-1000 nodes.
 _COLUMN_ROWS = 64
-# From one more node than this a tree whose degrees fit a byte is swapped
-# in a bytearray, where its list of pointers outgrows a core's L2 cache.
+# From one more node than this a tree is swapped in a mutable copy of the
+# sequence, where its list of pointers outgrows a core's L2 cache.
 _BYTE_NODES = 1 << 19
 
 
@@ -143,32 +145,34 @@ def sample_trees(multiset: DegreeMultiset, source, count: int) -> Iterator[list[
 
 def _tree_chunks(multiset: DegreeMultiset, source, count: int, labels=None):
     # The trees of sample_trees chunk by chunk, each chunk used up before the
-    # next is taken, as a flat run of whole codes: bytes, or a list when a
-    # degree is above 255; with labels, as _chunks gives them.  The checks of
-    # sample_trees are made at the call.
+    # next is taken, as _chunks gives them from the canonical sequence.  The
+    # checks of sample_trees are made at the call.
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     total = multiset.charge
     if total != 1:
         raise NotConstructibleError(total)
     counts = multiset.counts
-    if max(counts) > 255:
-        return _chunks(multiset.to_sequence(), source, count, labels)
-    return _chunks(b"".join(bytes([d]) * m for d, m in counts.items()), source, count, labels)
+    # the narrowest item that holds every degree ("I" holds any under cli._MAX_NODES)
+    typecode = next(t for t in "BHIQ" if max(counts) >> 8 * array(t).itemsize == 0)
+    sequence = b"".join(array(typecode, [d]) * m for d, m in counts.items())
+    return _chunks(sequence if typecode == "B" else array(typecode, sequence), source, count, labels)
 
 
 def _chunks(sequence, source, count: int, labels=None):
     # The one loop over the chunks of sample_trees, from the canonical
-    # sequence as bytes, or as a list when a degree is above 255.  Each turn
-    # draws one chunk and drops its shuffle draws before rotating it.  With
-    # labels, a map from each degree to a range of label ids, each node
-    # draws an id from its degree's range by one of n words that follow
+    # sequence as bytes, or an array of wider items, the type of each chunk.
+    # Each turn draws one chunk and drops its shuffle draws before rotating
+    # it.  With labels, a map from each degree to a range of label ids, each
+    # node draws an id from its degree's range by one of n words that follow
     # its tree's n - 1 shuffle words, and each turn yields the chunk and a
     # flat list of its ids.  A batch holds both draws of every tree, and
     # _draw_chunk keeps it only if no word is within n or the largest
     # range's size of 2**64; otherwise both are drawn tree by tree.
-    n, wide = len(sequence), type(sequence) is list
-    container = bytearray if n > _BYTE_NODES else list
+    n, typecode = len(sequence), memoryview(sequence).format
+    # the sequence's type, and a mutable one to join rows in, from a list of ints or raw bytes
+    chunk, row_type = (bytes, bytearray) if typecode == "B" else 2 * (partial(array, typecode),)
+    container = list if n <= _BYTE_NODES else row_type
     bounds, per_chunk = range(n, 1, -1), max(1, _CHUNK_WORDS // max(1, n - 1))
     width = 2 * n - 1 if labels else n - 1
     top = max(map(len, labels.values())) if labels else 0
@@ -176,24 +180,25 @@ def _chunks(sequence, source, count: int, labels=None):
         rows = min(per_chunk, count - start)
         batch, draws = _draw_chunk(source, bounds, rows, width, top)
         marks = [] if batch is None or not labels else batch[:, n - 1 :]
-        rotated = batch is None or wide
+        rotated = batch is None
         if rotated:
             flat = []
             for row in draws:
                 shuffled = _swapped(list(sequence), row)
                 code = rotate(shuffled, find_rotation_point(shuffled))
                 flat += code
-                if labels and batch is None:
+                if labels:
                     ranges = map(labels.__getitem__, code)
                     marks += [r[source.next_below(len(r))] for r in ranges]
-            flat = flat if wide else bytes(flat)
+            flat = chunk(flat)
         elif len(batch) >= _COLUMN_ROWS:
             flat = _column_table(sequence, batch[:, : n - 1])
         else:
-            flat = bytearray().join(bytearray(_swapped(container(sequence), row)) for row in draws)
+            flat = bytearray().join(row_type(_swapped(container(sequence), row)) for row in draws)
+            flat = memoryview(flat).cast(typecode)  # its rows, in the sequence's items
         del batch, draws
         if not rotated:
-            flat = _rotated(flat, n)
+            flat = chunk(_rotated(flat, n))
         if labels and type(marks) is not list:  # else ids drawn tree by tree above
             marks = _label_ids(marks, flat, labels)
         yield (flat, marks) if labels else flat
@@ -205,23 +210,23 @@ def _label_ids(words, flat, labels):
     import numpy as np
 
     degrees = sorted(labels)
-    codes = np.array(flat) if type(flat) is list else np.frombuffer(flat, dtype=np.uint8)
+    codes = np.frombuffer(flat, dtype=memoryview(flat).format)
     at = np.searchsorted(degrees, codes).reshape(words.shape)
     words %= np.array([len(labels[d]) for d in degrees], dtype=np.uint64)[at]
     words += np.array([labels[d].start for d in degrees], dtype=np.uint64)[at]
     return words.reshape(-1).tolist()
 
 
-def _column_table(sequence: bytes, draws):
+def _column_table(sequence, draws):
     # The shuffles _swapped makes from the rows of draws, a uint64 array, as
-    # a (rows, n) uint8 array.  Each swap runs across every row: position i
-    # of all trees is the contiguous row columns[i], and draw j of row r
-    # indexes the flat array at j * rows + r.
+    # a (rows, n) array of the sequence's item type.  Each swap runs across
+    # every row: position i of all trees is the contiguous row columns[i],
+    # and draw j of row r indexes the flat array at j * rows + r.
     import numpy as np
 
     rows, n = draws.shape[0], len(sequence)
-    columns = np.empty((n, rows), dtype=np.uint8)
-    columns[:] = np.frombuffer(sequence, dtype=np.uint8)[:, None]
+    columns = np.empty((n, rows), dtype=memoryview(sequence).format)
+    columns[:] = np.frombuffer(sequence, dtype=columns.dtype)[:, None]
     flat = columns.reshape(-1)
     at = draws.T.copy()
     at *= np.uint64(rows)
@@ -234,13 +239,13 @@ def _column_table(sequence: bytes, draws):
 
 
 def _rotated(table, n: int) -> bytes:
-    # The rows of table, n-node shuffles (or their bytes), each rotated at
-    # the first peak of its prefix charge, as bytes: one row by two slices,
-    # its peak found a block at a time from the charge before the block,
-    # more by each row's window of the table set twice side by side.
+    # The rows of table, n-node shuffles (or a buffer), each rotated at the
+    # first peak of its prefix charge, as their items' bytes: one row by two
+    # slices, its peak found a block at a time from the charge before the
+    # block, more by each row's window of the table set twice side by side.
     import numpy as np
 
-    table = np.frombuffer(table, dtype=np.uint8).reshape(-1, n) if isinstance(table, bytearray) else table
+    table = table if isinstance(table, np.ndarray) else np.frombuffer(table, memoryview(table).format).reshape(-1, n)
     if len(table) == 1:
         row, peak, k, level = table[0], -n, 0, 0  # a charge-1 row's charges are above -n
         for start in range(0, n, rng._BLOCK_WORDS):

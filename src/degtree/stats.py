@@ -70,7 +70,7 @@ def uniformity_report(
     chunks = _tree_chunks(multiset, source, samples)
     counts = dict.fromkeys(enumerate_trees(multiset), 0)
     records = Counter()
-    for flat in chunks:  # bytes: an enumerated space has no degree above 255
+    for flat in chunks:  # bytes: an enumerated space has at most 10 nodes, so degrees below 10
         records.update(struct.iter_unpack(f"{multiset.total_nodes}s", flat))
     for (record,), observed in records.items():
         code = tuple(record)

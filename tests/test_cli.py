@@ -718,7 +718,7 @@ _PINNED_MD5 = [
     # 3 trees of 10 nodes draw 27 words, too few for a batch, and are tallied as one chunk
     (["stats", "--degrees", "0:5,1:2,2:2,3:1", "--samples", "3", "--seed", "1"],
      "d77222dcb3979e8847c618f2d7e6162e"),
-    # chunks that are lists, with a degree above 255, through the structure pass and the dot writer
+    # chunks of 2-byte items, with a degree above 255, through the structure pass and the dot writer
     (["sample", "--degrees", "0:350,2:50,300:1", "--seed", "8", "--count", "200", "--format", "sexpr"],
      "171be3c7dc22e6b8c4a3446871d9bd47"),
     (["sample", "--degrees", "0:350,2:50,300:1", "--seed", "8", "--count", "200", "--format", "dot"],
@@ -780,7 +780,7 @@ def test_pinned_output_md5(capsys, argv, md5):
         ("0:1", 40),  # one-node trees: no shuffle word, one label each
         ("0:37,1:5,2:20,3:5,4:2", 2),  # 69 nodes: a batched single row
         ("0:2601,1:400,2:1000,3:800", 1),  # 4801 nodes, which the writer cuts into runs
-        ("0:300,1:4,300:1", 3),  # a degree above 255: a chunk of lists
+        ("0:300,1:4,300:1", 3),  # a degree above 255: a chunk of 2-byte items
     ],
 )
 def test_batched_expressions_equal_one_tree_at_a_time(tmp_path, monkeypatch, capsys, spec, count, seed, style):

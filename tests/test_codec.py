@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from array import array
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -335,14 +337,15 @@ class TestBlockWriter:
     def test_dot_trees_either_side_of_the_name_tables(self, nodes, wide):
         # Three trees of cap - 1, cap or cap + 1 nodes, in 7-node blocks:
         # up to cap nodes, a tree is named from the tables; past it, it is
-        # written in chunks.  A degree above 255 comes only in a list.
+        # written in chunks.  A degree above 255 comes as the sampler gives
+        # it, in 2-byte items, or in a list.
         cap = 300
         n = cap + nodes
         multiset = DegreeMultiset({0: 256, 1: n - 257, 256: 1} if wide else {0: 100, 1: n - 199, 2: 99})
         trees = list(sample_trees(multiset, RandomSource(n), 3))
         expected = "\n".join(map(_dot_of_nodes, trees))
         flat = [degree for tree in trees for degree in tree]
-        for kind in [list] if wide else [bytes, list]:
+        for kind in [partial(array, "H"), list] if wide else [bytes, list]:
             written = _written([kind(flat[:n]), kind(flat[n:])], "dot", multiset, 7, cap)
             # lists of lines: pytest's diff of two long texts can take minutes
             assert written.splitlines(True) == expected.splitlines(True), kind

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from degtree import (
 from degtree import OperatorAlphabet, rng, sampling
 from degtree.codec import _DIGIT_BLOCK, _blocks, render_expression
 from degtree.rng import _GOLDEN
-from degtree.sampling import _COLUMN_ROWS, _rotated, _swapped, _tree_chunks
+from degtree.sampling import _COLUMN_ROWS, _chunks, _rotated, _swapped, _tree_chunks
 
 
 class ScriptedSource:
@@ -364,6 +365,22 @@ class TestSampleTrees:
             tracemalloc.stop()
         assert peak / len(flat) < 8
 
+    def test_one_long_wide_tree_peaks_below_12_bytes_a_node(self):
+        # the same with a degree of 300: two bytes an item, swapped in an
+        # array copy, rotated by the byte kernels (33 bytes a node when it
+        # went through a list)
+        multiset = DegreeMultiset({0: 300_300, 2: 300_000, 300: 1})
+        assert multiset.total_nodes - 1 > 2 * rng._BLOCK_WORDS and multiset.total_nodes > sampling._BYTE_NODES
+        next(_tree_chunks(multiset, RandomSource(2), 1))  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            flat = next(_tree_chunks(multiset, RandomSource(3), 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (type(flat), flat.typecode, max(flat)) == (array, "H", 300)
+        assert peak / len(flat) < 12
+
     def test_one_long_digit_line_in_blocks(self):
         # a tree longer than _DIGIT_BLOCK is written in runs of _DIGIT_BLOCK
         # nodes, and only its last node takes the newline
@@ -418,18 +435,23 @@ def _record_tables(patch):
     return tables
 
 
-def _column_run(multiset, source, count):
-    """The trees of sample_trees, and for each chunk whether the column kernel made it."""
+def _column_run(multiset, source, count, typecode="B"):
+    """The trees of sample_trees, and for each chunk whether the column kernel
+    made it; every chunk, and every table the kernel makes, holds items of
+    typecode, in bytes or a wider array."""
     n, trees, columns, calls = multiset.total_nodes, [], [], []
 
     def recorded(sequence, draws, real=sampling._column_table):
         calls.append(len(draws))
-        return real(sequence, draws)
+        table = real(sequence, draws)
+        assert table.dtype == np.dtype(typecode)
+        return table
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampling, "_column_table", recorded)
         for flat in _tree_chunks(multiset, source, count):
-            assert type(flat) is bytes
+            assert type(flat) is (bytes if typecode == "B" else array)
+            assert memoryview(flat).format == typecode
             trees += _cut(flat, n)
             columns.append(bool(calls))
             calls.clear()
@@ -529,6 +551,17 @@ class TestColumnKernel:
         assert trees == list(sample_trees(multiset, slow, 256))
         assert all(tree[0] == 255 for tree in trees)
 
+    def test_column_chunk_of_a_degree_of_256_is_uint16(self):
+        # one item wider: 256 rows of 256 words, shuffled and rotated in
+        # uint16 by the same kernels, into an array of 2-byte items
+        multiset = DegreeMultiset({0: 256, 256: 1})
+        fast, slow = RecordingSource(6), ScalarOnly(6)
+        trees, columns = _column_run(multiset, fast, 256, "H")
+        assert columns == [True] and fast.batches == [256 * 256]
+        assert trees == list(_shuffled_then_rotated(multiset, slow, 256))
+        assert fast.words_consumed == slow._source.words_consumed
+        assert all(tree[0] == 256 for tree in trees)
+
 
 def _shuffled_then_rotated(multiset, source, count):
     """count trees by the public stages, each drawn from source in turn."""
@@ -549,9 +582,10 @@ def _wide_multisets(draw):
 
 
 class TestTableKernel:
-    # Every batched chunk with degrees below 256 is one uint8 table whose rows
-    # one numpy step rotates into bytes; every other chunk rotates tree by
-    # tree, into bytes or, with a degree above 255, a list.  All give the
+    # Every batched chunk is one table of the narrowest unsigned items that
+    # hold its degrees, whose rows one numpy step rotates: into bytes, or
+    # with a degree above 255 into an array of wider items.  A chunk drawn
+    # by next_below rotates tree by tree, into the same type.  All give the
     # trees of the public shuffle, rotation point and rotation, drawn one
     # after another by next_below.
 
@@ -564,9 +598,10 @@ class TestTableKernel:
     )
     @example(DegreeMultiset({0: 255, 255: 1}), 2, 255, 0, 3)  # two 1-row chunks of bytes
     @example(DegreeMultiset({0: 299, 299: 1}), 3, 3000, 0, 3)  # a degree above 255 in one batch
+    @example(DegreeMultiset({0: 299, 299: 1}), 3, 298, 0, 3)  # three 1-row chunks of 2-byte items
     def test_equals_shuffle_then_rotate(self, multiset, count, chunk_words, byte_nodes, seed):
         # chunk seams wherever chunk_words puts them; trees of more than
-        # byte_nodes nodes are swapped in a bytearray
+        # byte_nodes nodes are swapped in a bytearray or an array copy
         n = multiset.total_nodes
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sampling, "_CHUNK_WORDS", chunk_words)
@@ -576,15 +611,16 @@ class TestTableKernel:
             chunks = list(_tree_chunks(multiset, fast, count))
         sampled = list(sample_trees(multiset, RandomSource(seed), count))
         slow = ScalarOnly(seed)
-        kind = bytes if max(multiset.counts) <= 255 else list
-        assert all(type(flat) is kind for flat in chunks)
+        typecode = "B" if max(multiset.counts) <= 255 else "H"  # the narrowest item
+        assert all(type(flat) is (bytes if typecode == "B" else array) for flat in chunks)
+        assert all(memoryview(flat).format == typecode for flat in chunks)
         per = max(1, chunk_words // (n - 1))  # trees a chunk
         assert [len(flat) for flat in chunks] == [n * min(per, count - start) for start in range(0, count, per)]
         trees = [tree for flat in chunks for tree in _cut(flat, n)]
         assert trees == list(_shuffled_then_rotated(multiset, slow, count)) == sampled
         assert all(type(tree) is list and type(tree[0]) is int for tree in sampled)
         assert fast.words_consumed == slow._source.words_consumed == count * (n - 1)
-        assert len(tables) == (len(fast.batches) if kind is bytes else 0)
+        assert len(tables) == len(fast.batches)  # every batched chunk, wide or not
 
     def test_rewound_chunk_rotates_tree_by_tree(self, monkeypatch):
         # chunks of one row; the seed's first word is 2**64 - 1, which
@@ -599,7 +635,7 @@ class TestTableKernel:
         first = next(chunks)
         assert tables == [] and fast.rewinds == 1
         second = next(chunks)
-        assert tables == [(bytearray, 1025)] and next(chunks, None) is None
+        assert tables == [(memoryview, 1025)] and next(chunks, None) is None
         assert fast.rewinds == 1 and fast.batches == [1024, 1024]
         assert type(first) is type(second) is bytes
         assert [list(first), list(second)] == list(_shuffled_then_rotated(multiset, slow, 2))
@@ -613,9 +649,41 @@ class TestTableKernel:
         multiset = _binary_multiset(2001)
         fast, slow = RecordingSource(9), ScalarOnly(9)
         (flat,) = _tree_chunks(multiset, fast, 1)
-        assert tables == [(bytearray, 2001)] and fast.batches == [2000]
+        assert tables == [(memoryview, 2001)] and fast.batches == [2000]
         assert type(flat) is bytes
         assert [list(flat)] == list(_shuffled_then_rotated(multiset, slow, 1))
+
+    def test_a_degree_of_65536_takes_four_byte_items(self, monkeypatch):
+        # a chunk of two 65 537-node trees, then one of one tree, each drawn
+        # in one batch and rotated by the table kernel in 4-byte items
+        monkeypatch.setattr(sampling, "_CHUNK_WORDS", 2 * 65_536)
+        tables = _record_tables(monkeypatch)
+        multiset = DegreeMultiset({0: 65_536, 65_536: 1})
+        fast, slow = RecordingSource(5), ScalarOnly(5)
+        chunks = list(_tree_chunks(multiset, fast, 3))
+        assert [(type(flat), flat.typecode) for flat in chunks] == [(array, "I")] * 2
+        assert tables == [(memoryview, 2 * 65_537), (memoryview, 65_537)]
+        trees = [tree for flat in chunks for tree in _cut(flat, 65_537)]
+        assert trees == list(_shuffled_then_rotated(multiset, slow, 3))
+        assert fast.words_consumed == slow._source.words_consumed == 3 * 65_536
+        assert fast.batches == [2 * 65_536, 65_536]
+
+    @pytest.mark.parametrize("typecode", ["B", "H", "I", "Q"])
+    def test_every_item_width_gives_the_same_trees(self, typecode, monkeypatch):
+        # one canonical sequence in items of each width: a chunk of 100 rows
+        # through the column kernel, one of 30 through the row loop, and one
+        # tree of 17 words, too few for a batch, drawn and rotated alone
+        monkeypatch.setattr(sampling, "_CHUNK_WORDS", 100 * 17)
+        multiset = DegreeMultiset({0: 9, 1: 3, 2: 4, 3: 2})
+        sequence = array(typecode, multiset.to_sequence())
+        fast, slow = RecordingSource(8), ScalarOnly(8)
+        chunks = list(_chunks(sequence, fast, 130)) + list(_chunks(sequence, RandomSource(9), 1))
+        assert all(memoryview(flat).format == typecode for flat in chunks)
+        assert all(type(flat) is (bytes if typecode == "B" else array) for flat in chunks)
+        assert fast.batches == [100 * 17, 30 * 17]
+        trees = [tree for flat in chunks for tree in _cut(flat, 18)]
+        reference = [*_shuffled_then_rotated(multiset, slow, 130), *_shuffled_then_rotated(multiset, RandomSource(9), 1)]
+        assert trees == reference
 
 
 def _block_sizes(words, block):
