@@ -2,22 +2,26 @@
 
 A preorder outdegree code maps to a unique ordered tree: reading left to
 right, a symbol of value ``d`` opens a node that owns the next ``d``
-complete subtrees.  ``decode_prefix`` and the renderers read a code with
-one O(n) stack pass into flat lists of parents and closed-subtree counts,
-then link nodes or join text from them; nothing recurses, so unary chains
-of millions of nodes are fine, and all raise alike on a malformed code.
-The renderers are one block writer, which the CLI also feeds the
-sampler's chunks, flat runs of whole codes.
+complete subtrees.  ``decode_prefix`` and the renderers read a code into
+flat lists of parents and closed-subtree counts, then link nodes or join
+text from them.  A buffer run of 2^8 to 2^14 symbols, of trees of more
+than 32 nodes, is read by one numpy pass: a sort of its nodes by their
+start level, the prefix charge the sampler's rotation reads.  Everything
+else takes an O(n) stack loop, the reference, which also raises for
+every malformed code.  Nothing recurses, so unary chains of millions of
+nodes are fine.  The renderers are one block writer, which the CLI also
+feeds the sampler's chunks, flat runs of whole codes.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Mapping, Sequence
 from itertools import chain
 from operator import getitem, index, mul, ne
 
 from .errors import MissingArityError, TrailingSymbolsError, TruncatedCodeError, _Record
-from .rng import _draw_chunk
+from .rng import _BATCH_WORDS, _draw_chunk
 
 _NEW_LIST = object()  # TreeNode's default: a new list per node (None stays None)
 
@@ -105,10 +109,17 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 # bytes a node.
 _BLOCK = 1 << 12
 # Most nodes of a tree that dot writes whole, naming its nodes from tables
-# made once per call; a larger tree's lines go in chunks of _BLOCK nodes.
-# Runs of whole trees stay at _BLOCK nodes: runs of 2^14 nodes raised the
-# peak RSS of a render mix by about 1 MB.
-_DOT_NAMES = 1 << 14
+# made once per call, and of a run of whole trees whose structure numpy
+# reads at once; a larger tree's lines go in chunks of _BLOCK nodes, its
+# structure by the loop.  Runs of whole trees stay at _BLOCK nodes: runs of
+# 2^14 nodes raised the peak RSS of a render mix by about 1 MB.
+_WHOLE_NODES = 1 << 14
+# Fewest nodes of a run whose structure numpy reads: a 256-node tree took
+# about as long by numpy as by the loop.
+_KERNEL_NODES = 1 << 8
+# The codes numpy reads, by the buffer protocol, if their items are integers
+_BUFFERS = (bytes, bytearray, array, memoryview)
+_INT_FORMATS = frozenset("bBhHiIlLqQ")
 # Most nodes in a block of prefix digits: whole trees, or a run of a larger
 # tree.  Its text is twice its code's bytes.  Blocks of 2^12 nodes made
 # `sample --count` 3-10% slower on trees of 3 and 10 nodes.
@@ -120,18 +131,33 @@ def _runs(code: Sequence[int], cap: int, *rest):
     return [(0, code, *rest)] if len(code) <= cap else ((s, code[s : s + cap], *rest) for s in range(0, len(code), cap))
 
 
-def _structure(code: Sequence[int], size: int = 0, block: int = 0):
+def _structure(
+    code: Sequence[int], size: int = 0, block: int = 0, reads_parents: bool = True, reads_closed: bool = True
+):
     """Yield ``(start, run, parents, closed)`` for each run of ``block``
     symbols (default: all) from position ``start``: each node's parent (-1 at
     a root) and count of internal nodes whose last subtree ends at it.  The
     code is a forest of ``size``-node trees (default: one tree).  Raises
     what :func:`decode_prefix` documents, at the first symbol that breaks
     the grammar or at the end, before yielding its run.
+
+    A buffer of ``_KERNEL_NODES`` to ``_WHOLE_NODES`` symbols, of trees of
+    more than ``rng._BATCH_WORDS`` nodes (whose shuffles were batched, so
+    numpy is loaded), is read whole by :func:`_whole_structure`, which
+    gives ``None`` for a list not asked for.  Everything else, and any code
+    the kernel finds malformed, takes the loop below, one stack step a
+    node, which is the reference and the one source of errors.
     """
     n = len(code)
     if not n:
         raise TruncatedCodeError("empty code: a tree needs at least one node")
     size = size or n
+    if _BATCH_WORDS < size and _KERNEL_NODES <= n <= _WHOLE_NODES and isinstance(code, _BUFFERS):
+        whole = _whole_structure(code, size, reads_parents, reads_closed)
+        if whole is not None:
+            for start, run in _runs(code, block or n):
+                yield start, run, *(None if a is None else a[start : start + len(run)].tolist() for a in whole)
+            return
     # The innermost open node and the subtrees it misses, over a stack of the
     # same for its open ancestors, a virtual parent of the root and a guard.
     top, missing, tops, misses = -1, 1, [-1], [2]  # the guard misses two: it never closes
@@ -168,6 +194,65 @@ def _structure(code: Sequence[int], size: int = 0, block: int = 0):
         yield start, run, parents, closed
 
 
+def _whole_structure(code, size: int, reads_parents: bool, reads_closed: bool):
+    # _structure's parents and closing counts of a buffer of whole size-node
+    # trees, as int32 arrays (None where not asked for), or None if a tree
+    # is malformed.  A node's level is the count of slots open before it,
+    # one more than its tree's prefix charge before it.  An internal node
+    # of level a closes at the first later leaf of level a, so in the stable
+    # sort of the nodes by (tree, level) each leaf closes the internal nodes
+    # just before it.  A node after an internal node is its first child, and
+    # a node after a leaf is the next sibling of the outermost node that
+    # leaf closes, or of the leaf; chains of siblings are followed by
+    # pointer jumping.
+    import numpy as np
+
+    view = memoryview(code)
+    if view.ndim != 1 or view.format not in _INT_FORMATS:
+        return None
+    degrees = np.asarray(view)
+    n, top = len(degrees), int(degrees.max())
+    if n % size or top >= size or (view.format.islower() and degrees.min() < 0):
+        return None  # a degree no tree of size nodes holds
+    rows = np.subtract(degrees, 1, dtype=np.int32).reshape(-1, size)
+    np.add.accumulate(rows, axis=1, out=rows)  # slots open after each node, less one
+    # A tree is whole if a slot stays open up to its last node, which closes
+    # them all; as a count drops by at most one a node, the last counts are
+    # then each -1 if they sum to -1 a tree.
+    if rows[:, :-1].min(initial=0) < 0 or rows[:, -1].sum() != -len(rows):
+        return None
+    # each node's level less one, plus size times its tree: below n, and
+    # uint16 sorts by radix
+    levels = np.empty(rows.shape, dtype=np.uint16 if n <= 1 << 16 else np.int32)
+    levels[:, 1:] = rows[:, :-1]
+    levels[:, 0] = 0
+    del rows
+    levels += np.arange(0, n, size, dtype=levels.dtype)[:, None]
+    order = levels.reshape(-1).argsort(kind="stable").astype(np.int32)
+    del levels
+    ranks = np.flatnonzero(degrees[order] == 0)  # of the leaves, in sorted order
+    leaves = order[ranks]
+    parents = counts = None
+    if reads_closed:  # the internal nodes between a leaf and the leaf sorted before it
+        counts = np.zeros(n, dtype=np.int32)
+        counts[leaves[0]] = ranks[0]
+        counts[leaves[1:]] = ranks[1:] - ranks[:-1] - 1
+    if reads_parents:
+        # each node after a leaf links to its previous sibling, the first
+        # node sorted after the leaf before, and a first child to itself; a
+        # root (after a tree's last leaf) links to the root before it
+        links = np.arange(n + 1, dtype=np.int32)
+        ranks[1:] = ranks[:-1] + 1
+        ranks[0] = 0
+        links[leaves + 1] = order[ranks]
+        for _ in range(max(top - 2, 0).bit_length()):  # 2^rounds links cover a degree-d node's d - 1
+            links = links[links]
+        # the parent of a first child is the node before it
+        parents = np.arange(-1, n - 1, dtype=np.int32)[links[:n]]
+        parents[::size] = -1
+    return parents, counts
+
+
 def decode_prefix(code: Sequence[int]) -> TreeNode:
     """Decode a preorder outdegree code into its unique tree.
 
@@ -180,7 +265,7 @@ def decode_prefix(code: Sequence[int]) -> TreeNode:
         TrailingSymbolsError: a complete tree was closed before the end;
             carries the position of the first extra symbol.
     """
-    parents = next(_structure(code))[2]
+    parents = next(_structure(code, reads_closed=False))[2]
     nodes = [TreeNode(degree) for degree in map(index, code)]
     for node, parent in zip(nodes[1:], parents[1:]):
         nodes[parent].children.append(node)
@@ -207,7 +292,7 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
     and a list of the id of each node's symbol (see ``OperatorAlphabet``).
     A chunk is cut into runs of as many whole trees as fill a block, and a
     larger tree into runs of ``_BLOCK`` nodes (``_DIGIT_BLOCK`` for digits),
-    but dot writes a tree of up to ``_DOT_NAMES`` nodes whole.
+    but dot writes a tree of up to ``_WHOLE_NODES`` nodes whole.
     Each tree's text ends in ``end``, but a blank line separates dot trees
     and a newline ends digit lines.  A block fills one list with a fixed
     number of pieces per node by slice assignment and joins it once.
@@ -218,7 +303,7 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
     # run, which _structure refuses
     per = size * max((_DIGIT_BLOCK if fmt == "digits" else _BLOCK) // (size or 1), 1)
     per = _DIGIT_BLOCK if fmt == "digits" and size > _DIGIT_BLOCK else per
-    if fmt == "dot" and size <= _DOT_NAMES:  # each position's name, arrow and edge tail, for one tree
+    if fmt == "dot" and size <= _WHOLE_NODES:  # each position's name, arrow and edge tail, for one tree
         names = list(map(str, range(size)))
         arrows, tails = [name + " -> " for name in names], [name + ";\n  " for name in names]
     for chunk in chunks:
@@ -230,11 +315,11 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
                 ends = range(2 * ((size - 1 - first) % size) + 1, len(out), 2 * size)  # a tree's last node
                 out[ends.start :: ends.step] = b"\n" * len(ends)
                 yield out.decode("ascii")  # str, not bytes: output may be any text stream
-            elif fmt == "dot" and size <= _DOT_NAMES:
+            elif fmt == "dot" and size <= _WHOLE_NODES:
                 n = len(codes)
                 if len(names) < n:  # repeated for the trees of the longest run yet
                     names, arrows, tails = (table[:size] * (n // size) for table in (names, arrows, tails))
-                parents = next(_structure(codes, size))[2]
+                parents = next(_structure(codes, size, reads_closed=False))[2]
                 nodes = _dot_lines(names[:n], map(_DOT_LABELS.__getitem__, codes), n)
                 edges = _dot_lines(map(arrows.__getitem__, parents), tails[:n], n)
                 pieces = []
@@ -258,7 +343,10 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
                     yield "".join(pieces)
             else:
                 labels = alphabet and marks[first : first + len(codes)]
-                structure = _runs(codes, _BLOCK, None, None) if fmt == "prefix" else _structure(codes, size, _BLOCK)
+                if fmt == "prefix":
+                    structure = _runs(codes, _BLOCK, None, None)
+                else:  # infix reads both lists, sexpr and json only closing counts
+                    structure = _structure(codes, size, _BLOCK, reads_parents=alphabet is not None)
                 for start, run, parents, closed in structure:
                     if alphabet:
                         slots = _expression_slots(alphabet, fmt, labels, parents, closed, start, run)
@@ -361,7 +449,7 @@ def render_expression(
     """
     if style not in ("prefix", "infix"):
         raise ValueError(f"unknown style {style!r}")
-    for _ in _structure(code, 0, _BLOCK):
+    for _ in _structure(code, 0, _BLOCK, reads_parents=False, reads_closed=False):
         pass
     ranges = list(map(alphabet._labels(set(code)).__getitem__, code))
     draws = chain.from_iterable(next(_draw_chunk(source, list(map(len, ranges)), 1)[1]))

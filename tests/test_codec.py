@@ -277,7 +277,7 @@ def _written(chunks, fmt, multiset, block, cap):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codec, "_BLOCK", block)
         patch.setattr(codec, "_DIGIT_BLOCK", block)
-        patch.setattr(codec, "_DOT_NAMES", cap)
+        patch.setattr(codec, "_WHOLE_NODES", cap)
         patch.setattr(sys, "stdout", out)
         cli._write_trees(chunks, fmt, multiset)
     return out.getvalue()
@@ -303,6 +303,22 @@ def _dot_of_nodes(code):
         stack += ((child, len(labels)) for child in reversed(node.children))
         labels.append(f'  {len(labels)} [label="{node.outdegree}"];')
     return "\n".join(["digraph tree {", *labels, *edges, "}\n"])
+
+
+_CAP_TREE = sample_tree(DegreeMultiset({0: 8192, 1: 1, 2: 8191}), RandomSource(5))
+
+
+def _render_peak(render, code):
+    # the traced peak of render(code), and the length of its text
+    assert len(code) == codec._WHOLE_NODES
+    render(code)  # imports and memoised pieces are not the render's
+    tracemalloc.start()
+    try:
+        text = render(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, len(text)
 
 
 class TestBlockWriter:
@@ -351,21 +367,22 @@ class TestBlockWriter:
             assert written.splitlines(True) == expected.splitlines(True), kind
 
     def test_dot_tree_at_the_cap_renders_in_linear_memory(self):
-        # A tree of _DOT_NAMES nodes is written whole, from tables of each
+        # A tree of _WHOLE_NODES nodes is written whole, from tables of each
         # position's name, arrow and edge tail made once; they, the lines'
-        # pieces and the text held 9.2-9.6 times the text.
-        code = sample_tree(DegreeMultiset({0: 8192, 1: 1, 2: 8191}), RandomSource(5))
-        assert len(code) == codec._DOT_NAMES
-        to_dot(code)  # imports and memoised pieces are not the render's
-        tracemalloc.start()
-        try:
-            text = to_dot(code)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12 * len(text), (peak, len(text))
+        # pieces and the text held 8.6-9.6 times the text.
+        peak, text = _render_peak(to_dot, _CAP_TREE)
+        assert peak <= 12 * text, (peak, text)
+
+    @pytest.mark.parametrize("render", [to_dot, to_sexpr, to_json], ids=["dot", "sexpr", "json"])
+    def test_buffer_tree_at_the_cap_renders_in_linear_memory(self, render):
+        # The same tree as bytes, whose structure numpy reads whole: only the
+        # kernel's int32 results outlive it while the text is joined (9.0,
+        # 8.1 and 2.0 times the text).
+        peak, text = _render_peak(render, bytes(_CAP_TREE))
+        assert peak <= 12 * text, (peak, text)
 
     @given(code=st.lists(st.integers(-1, 4), max_size=14), block=st.integers(1, 20), cap=st.integers(1, 20))
+    @example(code=[4, -1, 2, 0, 0, 0], block=20, cap=20)  # of charge 1, with a negative item
     def test_malformed_codes_raise_as_decode_prefix_does(self, code, block, cap):
         def outcome(read):
             try:
@@ -377,9 +394,16 @@ class TestBlockWriter:
         expected = outcome(decode_prefix)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(codec, "_BLOCK", block)  # longer codes are read in chunks
-            patch.setattr(codec, "_DOT_NAMES", cap)  # longer dot codes too
+            patch.setattr(codec, "_WHOLE_NODES", cap)  # longer dot codes too
             for render in (to_sexpr, to_json, to_dot):
                 assert outcome(render) == expected, render
+            # as a buffer, which the numpy kernel reads up to cap symbols
+            # with its thresholds of run and tree size lowered to none
+            code = array("b", code)
+            patch.setattr(codec, "_KERNEL_NODES", 1)
+            patch.setattr(codec, "_BATCH_WORDS", 0)
+            for read in (decode_prefix, to_sexpr, to_json, to_dot):
+                assert outcome(read) == expected, read
 
     def test_public_renders_take_one_code(self):
         for read in (decode_prefix, to_sexpr, to_json, to_dot):
@@ -413,6 +437,108 @@ class TestBlockWriter:
         finally:
             tracemalloc.stop()
         assert peak < text_size, (peak, text_size)
+
+
+def _structure_runs(code, size, block, crossover, cap=None):
+    # _structure's runs of a forest of size-node trees in runs of block
+    # nodes, with the numpy kernel's crossover and cap set, and whether the
+    # kernel gave the lists
+    kernel, read = codec._whole_structure, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_KERNEL_NODES", crossover)
+        patch.setattr(codec, "_WHOLE_NODES", cap or codec._WHOLE_NODES)
+        patch.setattr(codec, "_whole_structure", lambda *args: read.append(kernel(*args)) or read[-1])
+        runs = list(codec._structure(code, size, block))
+    return runs, any(whole is not None for whole in read)
+
+
+def _forest(counts, count, seed, kind=bytes):
+    # count trees over counts drawn from seed, as one flat code of kind
+    multiset = DegreeMultiset(counts)
+    return kind([d for tree in sample_trees(multiset, RandomSource(seed), count) for d in tree])
+
+
+_OFF = 1 << 62  # a crossover no run reaches: the loop reads every run
+
+
+class TestStructureKernel:
+    # The numpy kernel gives what the loop gives, on the runs it takes.
+    @given(
+        multiset=constructible_multiset_strategy(300, 8),
+        count=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+        wide=st.booleans(),
+        block=st.sampled_from([0, 1, 5, 64, 4096]),
+    )
+    def test_kernel_equals_the_loop_on_random_forests(self, multiset, count, seed, wide, block):
+        code = _forest(multiset.counts, count, seed, partial(array, "H") if wide else bytes)
+        size = multiset.total_nodes
+        assert _structure_runs(code, size, block, 1) == (_structure_runs(code, size, block, _OFF)[0], size > 32)
+
+    @pytest.mark.parametrize(
+        "counts, count, crossover, cap, read",
+        [
+            ({0: 16, 1: 1, 2: 15}, 8, 1, None, False),  # 32 nodes: too few for a batched shuffle
+            ({0: 17, 2: 16}, 8, 1, None, True),  # 33 nodes
+            ({0: 17, 1: 1, 2: 16}, 8, 1, None, True),  # 34 nodes
+            ({0: 17, 2: 16}, 7, 256, None, False),  # 231 nodes, below the crossover
+            ({0: 17, 2: 16}, 8, 256, None, True),  # 264 nodes
+            ({0: 128, 2: 127}, 1, 256, None, False),  # 255 nodes
+            ({0: 128, 1: 1, 2: 127}, 1, 256, None, True),  # 256 nodes
+            ({0: 150, 2: 149}, 1, 1, 300, True),  # cap - 1 nodes
+            ({0: 150, 1: 1, 2: 149}, 1, 1, 300, True),  # cap
+            ({0: 151, 2: 150}, 1, 1, 300, False),  # cap + 1
+            ({0: 75, 2: 74}, 2, 1, 300, True),  # a run of cap - 2 nodes
+            ({0: 76, 2: 75}, 2, 1, 300, False),  # cap + 2
+            ({0: 1, 1: 999}, 1, 1, None, True),  # a unary chain
+            ({0: 300, 300: 1}, 1, 1, None, True),  # a star of degree 300
+            ({0: 360, 1: 40, 2: 60, 300: 1}, 3, 1, None, True),  # a node of degree 300
+            ({0: 11, 1: 20, 2: 4, 3: 3}, 400, 1, None, True),  # 400 trees of 38 nodes
+        ],
+    )
+    @pytest.mark.parametrize("block", [0, 7, 4096])
+    def test_kernel_equals_the_loop_either_side_of_its_thresholds(self, counts, count, crossover, cap, read, block):
+        code = _forest(counts, count, 1, partial(array, "H") if max(counts) > 255 else bytes)
+        size = sum(counts.values())
+        loop = _structure_runs(code, size, block, _OFF)[0]
+        assert _structure_runs(code, size, block, crossover, cap) == (loop, read)
+
+    def test_kernel_skips_what_is_not_read(self):
+        code = _forest({0: 17, 1: 3, 2: 16}, 20, 1)
+        parents, closed = codec._whole_structure(code, 36, True, True)
+        assert codec._whole_structure(code, 36, False, True)[0] is None
+        assert codec._whole_structure(code, 36, True, False)[1] is None
+        assert next(codec._structure(code, 36))[2:] == (parents.tolist(), closed.tolist())
+        assert parents.dtype == closed.dtype == np.int32
+
+    @pytest.mark.parametrize(
+        "fault", ["truncated", "trailing", "negative", "huge", "wrong_size"],
+    )
+    def test_malformed_buffers_past_the_thresholds_raise_as_the_loop_does(self, fault):
+        tree = sample_tree(DegreeMultiset({0: 101, 1: 98, 2: 50, 3: 25}), RandomSource(4))
+        code = {
+            "truncated": tree[:-3],
+            "trailing": tree + [0, 2],
+            # the root's two more subtrees and a -1 keep every prefix charge after them
+            "negative": array("b", [tree[0] + 2, -1] + tree[1:]),
+            "huge": array("Q", tree[:100] + [2**63 + 1] + tree[101:]),
+            "wrong_size": array("Q", tree[:100] + [len(tree)] + tree[101:]),
+        }[fault]
+        code = bytes(code) if type(code) is list else code
+        assert codec._KERNEL_NODES <= len(code) <= codec._WHOLE_NODES
+        assert codec._whole_structure(code, len(code), True, True) is None
+
+        def outcome(read):
+            try:
+                read(code)
+            except (ValueError, MalformedCodeError) as exc:
+                return type(exc), str(exc), getattr(exc, "position", None)
+            return None
+
+        expected = outcome(lambda code: decode_prefix(list(code)))  # a list takes the loop
+        assert expected is not None
+        for read in (decode_prefix, to_sexpr, to_json, to_dot):
+            assert outcome(read) == expected, read
 
 
 class TestSexpr:
