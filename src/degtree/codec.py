@@ -3,14 +3,16 @@
 A preorder outdegree code maps to a unique ordered tree: reading left to
 right, a symbol of value ``d`` opens a node that owns the next ``d``
 complete subtrees.  ``decode_prefix`` and the renderers read a code into
-flat lists of parents and closed-subtree counts, then link nodes or join
-text from them.  A buffer run of 2^8 to 2^14 symbols, of trees of more
+flat lists of parents and of one key a node, its degree or at a leaf
+minus the count of nodes it closes, then link nodes or join text from
+them.  A buffer run of 2^8 to 2^14 symbols, of trees of more
 than 32 nodes, is read by one numpy pass: a sort of its nodes by their
 start level, the prefix charge the sampler's rotation reads.  Everything
 else takes an O(n) stack loop, the reference, which also raises for
 every malformed code.  Nothing recurses, so unary chains of millions of
 nodes are fine.  The renderers are one block writer, which the CLI also
-feeds the sampler's chunks, flat runs of whole codes.
+feeds the sampler's chunks, flat runs of whole codes; every format but
+dot writes one piece a node, looked up by its key in a table of pieces.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping, Sequence
 from itertools import chain
-from operator import getitem, index, mul, ne
+from operator import getitem, index
 
 from .errors import MissingArityError, TrailingSymbolsError, TruncatedCodeError, _Record
 from .rng import _BATCH_WORDS, _draw_chunk
@@ -81,27 +83,28 @@ class OperatorAlphabet:
 
 
 class _Pieces(dict):
-    # The text of each outdegree or closing count, kept for the process while
-    # it is short (not every closing run up to the deepest).  It is made from
-    # operator.index(key): True or a numpy integer reads like an int.
+    # The text of each key, kept while it is short (not every closing run up
+    # to the deepest).
     def __init__(self, make):
         self.make = make
 
     def __missing__(self, key):
-        piece = self.make(index(key))
+        piece = self.make(key)
         if len(piece) <= 64:
             self[key] = piece
         return piece
 
 
-_SEXPR_PIECES = _Pieces(lambda d: f"({d}" if d else "0")
-_SEXPR_CLOSE = _Pieces(")".__mul__)
-_JSON_PIECES = _Pieces(lambda d: '{"degree":%d,"children":[%s' % (d, "" if d else "]}"))
-_JSON_CLOSE = _Pieces("]}".__mul__)
-# what follows a node in JSON: its first child, or after a leaf a later sibling
-_JSON_AFTER = _Pieces(lambda d: "" if d else ",")
-_PREFIX_PIECES = _Pieces(str)
-_DOT_LABELS = _Pieces(' [label="{}"];\n  '.format)
+# Each node's piece, by _structure's key: an internal node opens, a leaf
+# closes what it ends, and each ends in the separator a tree's end replaces.
+_SEXPR_PIECES = _Pieces(lambda k: f"({k} " if k > 0 else "0" + ")" * -k + " ")
+_JSON_PIECES = _Pieces(
+    lambda k: '{"degree":%d,"children":[' % k if k > 0 else '{"degree":0,"children":[]}' + "]}" * -k + ","
+)
+# By a code's items, read by operator.index: True or a numpy integer reads like an int
+_PREFIX_PIECES = _Pieces(lambda d: f"{index(d)} ")
+_DOT_LABELS = _Pieces(lambda d: f' [label="{index(d)}"];\n  ')
+_TABLES = {"prefix": _PREFIX_PIECES, "sexpr": _SEXPR_PIECES, "json": _JSON_PIECES}
 # Byte d of a code with every degree below 10 becomes the ASCII digit d.
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 # Most nodes in a block: whole trees, or a chunk of a larger tree.  A block
@@ -131,15 +134,15 @@ def _runs(code: Sequence[int], cap: int, *rest):
     return [(0, code, *rest)] if len(code) <= cap else ((s, code[s : s + cap], *rest) for s in range(0, len(code), cap))
 
 
-def _structure(
-    code: Sequence[int], size: int = 0, block: int = 0, reads_parents: bool = True, reads_closed: bool = True
-):
-    """Yield ``(start, run, parents, closed)`` for each run of ``block``
+def _structure(code: Sequence[int], size: int = 0, block: int = 0, reads_parents: bool = True, reads_keys: bool = True):
+    """Yield ``(start, run, parents, keys)`` for each run of ``block``
     symbols (default: all) from position ``start``: each node's parent (-1 at
-    a root) and count of internal nodes whose last subtree ends at it.  The
-    code is a forest of ``size``-node trees (default: one tree).  Raises
-    what :func:`decode_prefix` documents, at the first symbol that breaks
-    the grammar or at the end, before yielding its run.
+    a root) and key, its degree, or at a leaf minus the count of internal
+    nodes whose last subtree ends at it.  A key loses nothing: an internal
+    node closes nothing at itself, and a leaf has degree 0.  The code is a
+    forest of ``size``-node trees (default: one tree).  Raises what
+    :func:`decode_prefix` documents, at the first symbol that breaks the
+    grammar or at the end, before yielding its run.
 
     A buffer of ``_KERNEL_NODES`` to ``_WHOLE_NODES`` symbols, of trees of
     more than ``rng._BATCH_WORDS`` nodes (whose shuffles were batched, so
@@ -153,7 +156,7 @@ def _structure(
         raise TruncatedCodeError("empty code: a tree needs at least one node")
     size = size or n
     if _BATCH_WORDS < size and _KERNEL_NODES <= n <= _WHOLE_NODES and isinstance(code, _BUFFERS):
-        whole = _whole_structure(code, size, reads_parents, reads_closed)
+        whole = _whole_structure(code, size, reads_parents, reads_keys)
         if whole is not None:
             for start, run in _runs(code, block or n):
                 yield start, run, *(None if a is None else a[start : start + len(run)].tolist() for a in whole)
@@ -162,11 +165,11 @@ def _structure(
     # same for its open ancestors, a virtual parent of the root and a guard.
     top, missing, tops, misses = -1, 1, [-1], [2]  # the guard misses two: it never closes
     for start, run in _runs(code, block or n):
-        parents, closed = [], []
+        parents, keys = [], []
         for position, degree in enumerate(map(index, run), start):
             parents.append(top)
             if degree > 0:
-                closed.append(0)
+                keys.append(degree)
                 tops.append(top)
                 misses.append(missing)
                 top, missing = position, degree
@@ -176,28 +179,28 @@ def _structure(
                 # a leaf completes one subtree of each ancestor it closes
                 count = 0
                 while missing == 1:
-                    count += 1
+                    count -= 1
                     top, missing = tops.pop(), misses.pop()
                 missing -= 1
                 if top < 0:  # a tree is complete; a negative next symbol raises above
-                    count -= 1  # the virtual parent is no node
+                    count += 1  # the virtual parent is no node
                     if (position + 1) % size and index(code[position + 1]) >= 0:
                         raise TrailingSymbolsError(position + 1)
                     tops.append(-1)  # the guard again, for the next tree
                     misses.append(2)
-                closed.append(count)
+                keys.append(count)
         if top >= 0 and start + len(run) == n:
             # Nodes yet to start a child: the innermost open one, and each
             # other one missing more than the subtree in progress under it.
             unstarted = 1 + sum(1 for m in misses[2:] if m > 1)
             raise TruncatedCodeError(f"code ended with {unstarted} node(s) still missing children")
-        yield start, run, parents, closed
+        yield start, run, parents, keys
 
 
-def _whole_structure(code, size: int, reads_parents: bool, reads_closed: bool):
-    # _structure's parents and closing counts of a buffer of whole size-node
-    # trees, as int32 arrays (None where not asked for), or None if a tree
-    # is malformed.  A node's level is the count of slots open before it,
+def _whole_structure(code, size: int, reads_parents: bool, reads_keys: bool):
+    # _structure's parents and keys of a buffer of whole size-node trees, as
+    # int32 arrays (None where not asked for), or None if a tree is
+    # malformed.  A node's level is the count of slots open before it,
     # one more than its tree's prefix charge before it.  An internal node
     # of level a closes at the first later leaf of level a, so in the stable
     # sort of the nodes by (tree, level) each leaf closes the internal nodes
@@ -232,11 +235,11 @@ def _whole_structure(code, size: int, reads_parents: bool, reads_closed: bool):
     del levels
     ranks = np.flatnonzero(degrees[order] == 0)  # of the leaves, in sorted order
     leaves = order[ranks]
-    parents = counts = None
-    if reads_closed:  # the internal nodes between a leaf and the leaf sorted before it
-        counts = np.zeros(n, dtype=np.int32)
-        counts[leaves[0]] = ranks[0]
-        counts[leaves[1:]] = ranks[1:] - ranks[:-1] - 1
+    parents = keys = None
+    if reads_keys:  # at a leaf, less the internal nodes sorted between it and the leaf before
+        keys = degrees.astype(np.int32)
+        keys[leaves[0]] = -ranks[0]
+        keys[leaves[1:]] = ranks[:-1] - ranks[1:] + 1
     if reads_parents:
         # each node after a leaf links to its previous sibling, the first
         # node sorted after the leaf before, and a first child to itself; a
@@ -250,7 +253,7 @@ def _whole_structure(code, size: int, reads_parents: bool, reads_closed: bool):
         # the parent of a first child is the node before it
         parents = np.arange(-1, n - 1, dtype=np.int32)[links[:n]]
         parents[::size] = -1
-    return parents, counts
+    return parents, keys
 
 
 def decode_prefix(code: Sequence[int]) -> TreeNode:
@@ -265,7 +268,7 @@ def decode_prefix(code: Sequence[int]) -> TreeNode:
         TrailingSymbolsError: a complete tree was closed before the end;
             carries the position of the first extra symbol.
     """
-    parents = next(_structure(code, reads_closed=False))[2]
+    parents = next(_structure(code, reads_keys=False))[2]
     nodes = [TreeNode(degree) for degree in map(index, code)]
     for node, parent in zip(nodes[1:], parents[1:]):
         nodes[parent].children.append(node)
@@ -294,8 +297,9 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
     larger tree into runs of ``_BLOCK`` nodes (``_DIGIT_BLOCK`` for digits),
     but dot writes a tree of up to ``_WHOLE_NODES`` nodes whole.
     Each tree's text ends in ``end``, but a blank line separates dot trees
-    and a newline ends digit lines.  A block fills one list with a fixed
-    number of pieces per node by slice assignment and joins it once.
+    and a newline ends digit lines.  A block is one list of pieces, joined
+    once: one piece a node, looked up by its key (see :func:`_structure`),
+    but four a node for dot, whose names and arrows change with position.
     """
     header = "digraph tree {\n  "
     # whole trees a run (a pass per code doubled the time of 3e5 three-node
@@ -306,6 +310,8 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
     if fmt == "dot" and size <= _WHOLE_NODES:  # each position's name, arrow and edge tail, for one tree
         names = list(map(str, range(size)))
         arrows, tails = [name + " -> " for name in names], [name + ";\n  " for name in names]
+    table = _expression_pieces(alphabet, fmt) if alphabet else _TABLES.get(fmt)
+    joins = fmt == "infix" and alphabet._joins
     for chunk in chunks:
         chunk, marks = chunk if alphabet else (chunk, None)
         for first, codes in _runs(chunk, per):
@@ -319,7 +325,7 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
                 n = len(codes)
                 if len(names) < n:  # repeated for the trees of the longest run yet
                     names, arrows, tails = (table[:size] * (n // size) for table in (names, arrows, tails))
-                parents = next(_structure(codes, size, reads_closed=False))[2]
+                parents = next(_structure(codes, size, reads_keys=False))[2]
                 nodes = _dot_lines(names[:n], map(_DOT_LABELS.__getitem__, codes), n)
                 edges = _dot_lines(map(arrows.__getitem__, parents), tails[:n], n)
                 pieces = []
@@ -345,55 +351,45 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
                 labels = alphabet and marks[first : first + len(codes)]
                 if fmt == "prefix":
                     structure = _runs(codes, _BLOCK, None, None)
-                else:  # infix reads both lists, sexpr and json only closing counts
+                else:  # infix reads both lists, sexpr and json only keys
                     structure = _structure(codes, size, _BLOCK, reads_parents=alphabet is not None)
-                for start, run, parents, closed in structure:
-                    if alphabet:
-                        slots = _expression_slots(alphabet, fmt, labels, parents, closed, start, run)
-                    else:
-                        tables = zip(_STREAMS[fmt], (run, closed, run))
-                        slots = [None if t is None else map(t.__getitem__, v) for t, v in tables]
-                    yield _stream_text(slots, len(run), start, size, end)
+                yield from _stream_text(structure, table, size, end, labels, joins)
             header = "\ndigraph tree {\n  "
 
 
-# Per stream format, the table of each piece of a node: of its outdegree,
-# of its closing count, or a space (None); a tree's end replaces the last.
-_STREAMS = {
-    "prefix": (_PREFIX_PIECES, None),
-    "sexpr": (_SEXPR_PIECES, _SEXPR_CLOSE, None),
-    "json": (_JSON_PIECES, _JSON_CLOSE, _JSON_AFTER),
-}
-
-
-def _expression_slots(alphabet, style, labels, parents, closed, start, run):
-    # The pieces of a run of expression nodes from position start in a run
-    # of codes whose symbol ids are labels, as _stream_text takes them.
-    # Prefix: each node's symbol, then a space.  Infix: what parts a node
-    # from an earlier sibling (its parent's join), what opens it, the nodes
-    # whose last subtree ends at it, then nothing.
-    ids = labels[start : start + len(run)]
+def _expression_pieces(alphabet, style: str):
+    # The table of expression pieces, made once per call.  Prefix: by a
+    # node's symbol id, its symbol, then a space.  Infix: by the symbol id of
+    # the next node's parent, its own symbol id and its key; what opens it,
+    # and at a leaf, the nodes it closes and the join of the next node's
+    # parent: the node after a leaf follows an earlier sibling, or starts a tree.
     if style == "prefix":
-        return [map(alphabet._symbols.__getitem__, ids), None]
-    # A root's parent, -1, names the last node of the codes, a leaf, whose join is "".
-    joins = map(alphabet._joins.__getitem__, map(labels.__getitem__, parents))
-    parted = map(ne, parents, range(start - 1, start + len(run) - 1))  # not a first child
-    closes = map(_SEXPR_CLOSE.__getitem__, closed)
-    return [map(mul, joins, parted), map(alphabet._opens.__getitem__, ids), closes, ("",) * len(run)]
+        return [symbol + " " for symbol in alphabet._symbols]
+    joins, opens = alphabet._joins, alphabet._opens
+    return _Pieces(lambda key: opens[key[1]] if key[2] > 0 else opens[key[1]] + ")" * -key[2] + joins[key[0]])
 
 
-def _stream_text(slots, length: int, start: int, size: int, end: str) -> str:
-    # The text of a run of length nodes from position start in a stream of
-    # size-node codes, from the pieces of each slot of a node (None: a space).
-    first = (size - 1 - start) % size  # the first node of the run that ends a tree
-    ends = len(range(first, length, size))
-    width = len(slots)
-    pieces = [" "] * (width * length)
-    for slot, values in enumerate(slots):
-        if values is not None:
-            pieces[slot::width] = values
-    pieces[width * (first + 1) - 1 :: width * size] = [end] * ends
-    return "".join(pieces)
+def _stream_text(structure, table, size: int, end: str, labels=None, joins=None):
+    # The text of each run that structure yields, from position start in a
+    # stream of size-node codes: one piece a node from table, by its item
+    # (prefix), its key (sexpr, json), or given the symbol ids of the codes
+    # (labels), by its id (a prefix expression) or, given the symbols' joins,
+    # its infix key.  A tree's last piece ends in end in place of its
+    # separator; infix pieces have none.
+    for start, run, parents, keys in structure:
+        ids = labels and labels[start : start + len(run)]
+        if joins:
+            # The run's last node takes the parent -1, which names the last
+            # node of the codes, a leaf, whose join is "": the next run's
+            # first piece starts with the join it needs.
+            keys = zip(map(labels.__getitem__, parents[1:] + [-1]), ids, keys)
+        pieces = list(map(table.__getitem__, keys or ids or run))
+        if joins and parents[0] != start - 1:  # the first node follows an earlier sibling
+            pieces[0] = joins[labels[parents[0]]] + pieces[0]
+        first = (size - 1 - start) % size  # the first node of the run that ends a tree
+        cut = 0 if joins else 1
+        pieces[first::size] = [piece[: len(piece) - cut] + end for piece in pieces[first::size]]
+        yield "".join(pieces)
 
 
 def _dot_lines(firsts, seconds, length: int) -> list[str]:
@@ -449,8 +445,10 @@ def render_expression(
     """
     if style not in ("prefix", "infix"):
         raise ValueError(f"unknown style {style!r}")
-    for _ in _structure(code, 0, _BLOCK, reads_parents=False, reads_closed=False):
-        pass
+    # the code is checked before any symbol is drawn; infix is written from the runs read here
+    infix = style == "infix"
+    runs = [run if infix else (*run[:2], None, None) for run in _structure(code, 0, _BLOCK, infix, infix)]
     ranges = list(map(alphabet._labels(set(code)).__getitem__, code))
     draws = chain.from_iterable(next(_draw_chunk(source, list(map(len, ranges)), 1)[1]))
-    return "".join(_blocks([(code, list(map(getitem, ranges, draws)))], len(code), style, "", alphabet))
+    pieces, labels = _expression_pieces(alphabet, style), list(map(getitem, ranges, draws))
+    return "".join(_stream_text(runs, pieces, len(code), "", labels, infix and alphabet._joins))

@@ -893,8 +893,12 @@ print(json.dumps([code, loaded, "secrets" in sys.modules]))
         # 3 trees of 7 nodes draw 18 shuffle words, too few for a batch
         (["fuzz-expr", "--degrees", "0:4,1:1,2:1,3:1", "--alphabet", ALPHABET, "--seed", "1",
           "--count", "3", "--style", "infix"], 0, False),
-        # 7 nodes draw 6 words, too few for a batch
+        (["fuzz-expr", "--degrees", "0:4,1:1,2:1,3:1", "--alphabet", ALPHABET, "--seed", "1",
+          "--count", "3", "--style", "prefix"], 0, False),
+        # 7 nodes draw 6 words, too few for a batch; the loop gives the writer its keys
         (["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "1"], 0, False),
+        (["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "1", "--format", "sexpr"], 0, False),
+        (["sample", "--degrees", "0:4,1:1,2:1,3:1", "--seed", "1", "--format", "json"], 0, False),
         (["--help"], 0, False),
         (["sample", "--degrees", "zero"], 1, False),
         (["count", "--degrees", "0,0"], 2, False),
@@ -908,8 +912,8 @@ print(json.dumps([code, loaded, "secrets" in sys.modules]))
         (["sample", "--degrees", "0:4,1:1,2:1,3:1"], 0, False),
     ],
     ids=["check", "enumerate", "enumerate_json", "enumerate_dot", "enumerate_sexpr", "small_fuzz_expr",
-         "small_sample", "help", "usage_error", "infeasible", "batched_sample", "count",
-         "small_stats", "batched_stats", "unseeded_sample"],
+         "small_prefix_fuzz_expr", "small_sample", "small_sexpr_sample", "small_json_sample", "help",
+         "usage_error", "infeasible", "batched_sample", "count", "small_stats", "batched_stats", "unseeded_sample"],
 )
 def test_numpy_is_loaded_only_by_batches_and_count(argv, code, uses_numpy):
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -2,6 +2,7 @@ import inspect
 import io
 import itertools
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -439,6 +440,99 @@ class TestBlockWriter:
         assert peak < text_size, (peak, text_size)
 
 
+def _reference_text(code, fmt, symbols=None):
+    # The text of one tree, built from decode_prefix's TreeNodes by an
+    # explicit stack apart from the block writer: in fmt, "prefix", "sexpr"
+    # or "json", or given each node's symbol in preorder, in the expression
+    # style fmt, "prefix" or "infix"
+    out, stack, symbols = [], [decode_prefix(list(code))], symbols and iter(symbols)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        degree, children = node.outdegree, node.children
+        head = next(symbols) if symbols else str(degree)
+        spaced = [piece for child in children for piece in (" ", child)]
+        if fmt == "prefix":
+            parts = [head, *spaced]
+        elif fmt == "sexpr":
+            parts = [f"({degree}", *spaced, ")"] if degree else ["0"]
+        elif fmt == "json":
+            parts = ['{"degree":%d,"children":[' % degree, *[p for c in children for p in (",", c)][1:], "]}"]
+        elif degree == 2:  # infix
+            parts = ["(", children[0], f" {head} ", children[1], ")"]
+        else:
+            parts = [head + "(", *[p for c in children for p in (", ", c)][1:], ")"] if degree else [head]
+        stack += reversed(parts)
+    return "".join(out)
+
+
+# Symbols for every degree up to 14, two of them binary operators
+_WIDE_ALPHABET = OperatorAlphabet({d: ["+", "*"] if d == 2 else [f"s{d}", f"t{d}"] for d in range(15)})
+
+
+class _RecordedDraws:
+    """next_below from a seeded random.Random, recording each draw."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = random.Random(seed), []
+
+    def next_below(self, bound):
+        self.draws.append(self.rng.randrange(bound))
+        return self.draws[-1]
+
+
+class TestStreamReference:
+    # The writer's stream formats equal the reference built from TreeNodes,
+    # on forests of every item kind, through the numpy kernel and the loop,
+    # in runs that cut through trees.
+    @given(
+        multiset=constructible_multiset_strategy(60, 14),
+        count=st.integers(1, 8),
+        seed=st.integers(0, 2**32),
+        kind=st.sampled_from(["bytes", "H", "I", "list"]),
+        fmt=st.sampled_from(["prefix", "sexpr", "json", "prefix expression", "infix"]),
+        block=st.sampled_from([1, 3, 7, 64, 4096]),
+        kernel=st.booleans(),
+    )
+    # a unary chain whose closing piece is past the 64-character cache limit
+    @example(DegreeMultiset({0: 1, 1: 70}), 2, 0, "bytes", "sexpr", 4096, True)
+    @example(DegreeMultiset({0: 1, 1: 70}), 2, 0, "list", "json", 7, False)
+    @example(DegreeMultiset({0: 1, 1: 70}), 2, 0, "H", "infix", 4096, True)
+    @example(DegreeMultiset({0: 12, 1: 2, 12: 1}), 3, 1, "I", "prefix", 5, True)
+    def test_writer_equals_the_reference(self, multiset, count, seed, kind, fmt, block, kernel):
+        size, style = multiset.total_nodes, fmt.removesuffix(" expression")
+        trees = list(sample_trees(multiset, RandomSource(seed), count))
+        flat = [degree for tree in trees for degree in tree]
+        codes = {"bytes": bytes, "H": partial(array, "H"), "I": partial(array, "I"), "list": list}[kind](flat)
+        alphabet = _WIDE_ALPHABET if fmt in ("prefix expression", "infix") else None
+        ranges = _WIDE_ALPHABET._labels(set(flat))
+        rng = random.Random(seed)
+        labels = [rng.choice(ranges[degree]) for degree in flat]
+        symbols = list(map(_WIDE_ALPHABET._symbols.__getitem__, labels)) if alphabet else None
+        expected = "".join(
+            _reference_text(tree, style, symbols and symbols[start : start + size]) + "\n"
+            for start, tree in zip(range(0, len(flat), size), trees)
+        )
+        # the first tree alone, through its public render (prefix has none)
+        source = _RecordedDraws(seed)
+        one_tree = {"prefix": None, "sexpr": to_sexpr, "json": to_json}.get(
+            fmt, lambda code: render_expression(code, _WIDE_ALPHABET, source, style)
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codec, "_BLOCK", block)
+            patch.setattr(codec, "_KERNEL_NODES", 1 if kernel else _OFF)
+            patch.setattr(codec, "_BATCH_WORDS", 0 if kernel else _OFF)
+            written = "".join(codec._blocks([(codes, labels) if alphabet else codes], size, style, alphabet=alphabet))
+            text = one_tree and one_tree(codes[:size])
+        # lists of lines: pytest's diff of two long texts can take minutes
+        assert written.splitlines(True) == expected.splitlines(True)
+        if one_tree:
+            drawn = [_WIDE_ALPHABET.symbols_for(d)[k] for d, k in zip(flat, source.draws)] if alphabet else None
+            assert text.splitlines(True) == _reference_text(flat[:size], style, drawn).splitlines(True)
+
+
 def _structure_runs(code, size, block, crossover, cap=None):
     # _structure's runs of a forest of size-node trees in runs of block
     # nodes, with the numpy kernel's crossover and cap set, and whether the
@@ -505,11 +599,11 @@ class TestStructureKernel:
 
     def test_kernel_skips_what_is_not_read(self):
         code = _forest({0: 17, 1: 3, 2: 16}, 20, 1)
-        parents, closed = codec._whole_structure(code, 36, True, True)
+        parents, keys = codec._whole_structure(code, 36, True, True)
         assert codec._whole_structure(code, 36, False, True)[0] is None
         assert codec._whole_structure(code, 36, True, False)[1] is None
-        assert next(codec._structure(code, 36))[2:] == (parents.tolist(), closed.tolist())
-        assert parents.dtype == closed.dtype == np.int32
+        assert next(codec._structure(code, 36))[2:] == (parents.tolist(), keys.tolist())
+        assert parents.dtype == keys.dtype == np.int32
 
     @pytest.mark.parametrize(
         "fault", ["truncated", "trailing", "negative", "huge", "wrong_size"],
