@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping, Sequence
-from itertools import chain
-from operator import getitem, index
+from operator import index
 
 from .errors import MissingArityError, TrailingSymbolsError, TruncatedCodeError, _Record
-from .rng import _BATCH_WORDS, _draw_chunk
+from .rng import _BATCH_WORDS, _draw_ids
 
 _NEW_LIST = object()  # TreeNode's default: a new list per node (None stays None)
 
@@ -52,7 +51,7 @@ class OperatorAlphabet:
         # its infix text: what opens its node, and what parts its children
         # ("" for a leaf, which has none, and whose join a root reads).
         self._ids: dict[int, range] = {}
-        self._symbols, self._opens, self._joins = [], [], []
+        self._symbols, opens, self._joins = [], [], []
         for arity, row in symbols.items():
             if arity < 0:
                 raise ValueError(f"arity must be non-negative, got {arity}")
@@ -64,8 +63,19 @@ class OperatorAlphabet:
             a = int(arity)
             self._ids[a] = range(len(self._symbols), len(self._symbols) + len(row))
             self._symbols += row
-            self._opens += ("(",) * len(row) if a == 2 else [s + "(" for s in row] if a else row
+            opens += ("(",) * len(row) if a == 2 else [s + "(" for s in row] if a else row
             self._joins += [f" {s} " for s in row] if a == 2 else (", " * (a > 0),) * len(row)
+        # Each style's table of pieces, kept across renders.  Prefix: by a
+        # node's symbol id, its symbol, then a space.  Infix: by the symbol id
+        # of the next node's parent, its own symbol id and its key; what opens
+        # it, and at a leaf, the nodes it closes and the join of the next
+        # node's parent: the node after a leaf follows an earlier sibling, or
+        # starts a tree.
+        joins = self._joins
+        self._pieces = {
+            "prefix": [symbol + " " for symbol in self._symbols],
+            "infix": _Pieces(lambda k: opens[k[1]] if k[2] > 0 else opens[k[1]] + ")" * -k[2] + joins[k[0]]),
+        }
 
     def _labels(self, degrees) -> dict[int, range]:
         # Each of degrees' range of symbol ids; raises for the smallest without symbols.
@@ -310,7 +320,7 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
     if fmt == "dot" and size <= _WHOLE_NODES:  # each position's name, arrow and edge tail, for one tree
         names = list(map(str, range(size)))
         arrows, tails = [name + " -> " for name in names], [name + ";\n  " for name in names]
-    table = _expression_pieces(alphabet, fmt) if alphabet else _TABLES.get(fmt)
+    table = alphabet._pieces[fmt] if alphabet else _TABLES.get(fmt)
     joins = fmt == "infix" and alphabet._joins
     for chunk in chunks:
         chunk, marks = chunk if alphabet else (chunk, None)
@@ -355,18 +365,6 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
                     structure = _structure(codes, size, _BLOCK, reads_parents=alphabet is not None)
                 yield from _stream_text(structure, table, size, end, labels, joins)
             header = "\ndigraph tree {\n  "
-
-
-def _expression_pieces(alphabet, style: str):
-    # The table of expression pieces, made once per call.  Prefix: by a
-    # node's symbol id, its symbol, then a space.  Infix: by the symbol id of
-    # the next node's parent, its own symbol id and its key; what opens it,
-    # and at a leaf, the nodes it closes and the join of the next node's
-    # parent: the node after a leaf follows an earlier sibling, or starts a tree.
-    if style == "prefix":
-        return [symbol + " " for symbol in alphabet._symbols]
-    joins, opens = alphabet._joins, alphabet._opens
-    return _Pieces(lambda key: opens[key[1]] if key[2] > 0 else opens[key[1]] + ")" * -key[2] + joins[key[0]])
 
 
 def _stream_text(structure, table, size: int, end: str, labels=None, joins=None):
@@ -448,7 +446,5 @@ def render_expression(
     # the code is checked before any symbol is drawn; infix is written from the runs read here
     infix = style == "infix"
     runs = [run if infix else (*run[:2], None, None) for run in _structure(code, 0, _BLOCK, infix, infix)]
-    ranges = list(map(alphabet._labels(set(code)).__getitem__, code))
-    draws = chain.from_iterable(next(_draw_chunk(source, list(map(len, ranges)), 1)[1]))
-    pieces, labels = _expression_pieces(alphabet, style), list(map(getitem, ranges, draws))
-    return "".join(_stream_text(runs, pieces, len(code), "", labels, infix and alphabet._joins))
+    labels = _draw_ids(source, list(map(alphabet._labels(set(code)).__getitem__, code)))
+    return "".join(_stream_text(runs, alphabet._pieces[style], len(code), "", labels, infix and alphabet._joins))

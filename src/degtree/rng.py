@@ -6,21 +6,21 @@ The generator is splitmix64 run in counter mode: word ``i`` of a stream is
 Counter mode makes batching trivial: a vectorised batch yields
 bit-identical words to repeated scalar calls, and a consumed batch can be
 undone by rewinding the counter.  The words of row ``r`` in a run of
-rows are known without drawing rows ``0..r-1``, so one function draws
-the bounded values of a run of rows, a chunk of the shuffles of many
-trees or the labels of one expression, from one batch whose rows match
-the ``next_below`` chain word for word, and hands it over whole, as a
-2-D array, and row by row.  A single row longer than ``_BLOCK_WORDS``,
-the shuffle of one large tree or the labels of one large expression, is
-drawn and handed over a block at a time instead, so its draws never take
-more memory than one block.  A row may also carry raw words past its
-draws: an n-node expression tree takes n - 1 shuffle words, then one
-label word per node, so with no rejection tree ``r`` of a run starts at
-word ``r * (2n - 1)``, and a chunk of such trees is one batch, however
-long, whose label words are reduced once the rotated trees give each
-node's bound.  A batch or block equals the chain when no word exceeds
-2**64 minus the largest bound, shuffle or label, of its words; any other
-is redrawn by next_below, with the rest of its row.
+rows are known without drawing rows ``0..r-1``, so one function,
+``_draw_chunk``, the only one that draws, takes the bounded values of a
+run of rows, a chunk of the shuffles of many trees or the labels of one
+expression, from one batch whose rows match the ``next_below`` chain
+word for word.  A single row longer than ``_BLOCK_WORDS``, the shuffle
+of one large tree or the labels of one large expression, goes through it
+a block at a time, so its draws never take more memory than one block.
+A row may also carry raw words past its draws: an n-node expression tree
+takes n - 1 shuffle words, then one label word per node, so with no
+rejection tree ``r`` of a run starts at word ``r * (2n - 1)``, and a
+chunk of such trees is one batch, however long, whose label words are
+reduced once the rotated trees give each node's bound.  Each batch or
+block equals the chain, and is kept, when no word exceeds 2**64 minus
+the largest bound, shuffle or label, of its words; any other is rewound
+and drawn by next_below on its own.
 
 The generator is hand-rolled rather than borrowed from ``random.Random``
 so that seeded streams are stable across interpreter versions; the golden
@@ -33,7 +33,8 @@ not load it.
 
 from __future__ import annotations
 
-from operator import index
+from itertools import chain
+from operator import getitem, index
 
 TYPE_CHECKING = False  # True for a type checker; typing is not imported at run time
 if TYPE_CHECKING:
@@ -153,13 +154,13 @@ def _draw_chunk(source, bounds, rows: int, width: int = 0, top: int = 0):
     # drops both when done with them.  A batch row holds ``width`` words
     # (default: one per bound), the last left raw for the caller to reduce
     # by bounds up to ``top``.  A single row of more than _BLOCK_WORDS draws
-    # and no raw words comes from _row_blocks instead, with an empty (1, 0)
-    # batch.  As next_below(b) takes every word up to 2**64 - b, a batch or
-    # block is kept only if no word is above 2**64 minus its largest bound;
-    # any other (probability < words * bound / 2**64) is rewound, and its
-    # draws and the rest of its row come from next_below like any other
-    # source's (a whole batch with batch None), so every path consumes the
-    # identical stream.
+    # and no raw words is drawn by this function a block at a time
+    # (_row_blocks), with an empty (1, 0) batch.  As next_below(b) takes
+    # every word up to 2**64 - b, a batch or block is kept only if no word
+    # is above 2**64 minus its largest bound; any other (probability <
+    # words * bound / 2**64) is rewound, and its draws come from next_below
+    # like any other source's (a whole batch with batch None), so every
+    # path consumes the identical stream.
     size = rows * len(bounds)
     if size >= _BATCH_WORDS and isinstance(source, RandomSource):
         import numpy as np
@@ -174,19 +175,20 @@ def _draw_chunk(source, bounds, rows: int, width: int = 0, top: int = 0):
 
 
 def _row_blocks(source, bounds):
-    # The draws of one row of bounds, _BLOCK_WORDS at a time: each kept block
-    # as a memoryview, released when the next block is asked for, so at most
-    # one is held; after a rewound one, the rest of the row from next_below.
+    # The draws of one row of bounds, a _draw_chunk row of _BLOCK_WORDS at a
+    # time, each kept block released when the next is asked for, so at most
+    # one is held.
     for start in range(0, len(bounds), _BLOCK_WORDS):
-        part = bounds[start : start + _BLOCK_WORDS]
-        words = source.next_words(len(part)).reshape(1, -1)
-        if not _kept(words, part):
-            source.rewind(len(part))
-            yield (source.next_below(b) for b in bounds[start:])
-            return
-        with memoryview(words[0]) as view:
-            del words
-            yield view
+        (block,) = next(_draw_chunk(source, bounds[start : start + _BLOCK_WORDS], 1)[1])
+        yield block
+        if isinstance(block, memoryview):
+            block.release()
+
+
+def _draw_ids(source, ranges: list) -> list:
+    # r[source.next_below(len(r))] for each range r of label ids, as one _draw_chunk row
+    draws = chain.from_iterable(next(_draw_chunk(source, list(map(len, ranges)), 1)[1]))
+    return list(map(getitem, ranges, draws))
 
 
 def _kept(words, bounds, top: int = 0) -> bool:

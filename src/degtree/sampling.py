@@ -8,11 +8,11 @@ hit by equally many shuffles, so the output is uniform over all trees
 satisfying the multiset.  Each stage is linear in the node count.
 
 One loop, ``_chunks``, walks the chunks of a sample.  Each turn takes
-the draws of one shuffle, or of a chunk of them, from one
-``rng._draw_chunk`` call, from ``next_below`` or one numpy batch of the
-same words (a long shuffle's a block at a time), and the swap loop only
-swaps.  The multiset expands to a buffer of the narrowest unsigned ints
-that hold its degrees, ``bytes`` or else an ``array``, and each chunk
+the draws of one shuffle, or of a chunk of them, from ``rng._draw_chunk``,
+the one function that draws: from ``next_below`` or one numpy batch of
+the same words (a long shuffle's a block at a time), and the swap loop
+only swaps.  The multiset expands to a buffer of the narrowest unsigned
+ints that hold its degrees, ``bytes`` or else an ``array``, and each chunk
 comes out as one flat run of whole n-node codes of that type.  A batched
 chunk is shuffled row by row, or by a column kernel, one numpy step per
 position, from 64 trees up; its draws are dropped, and one numpy step
@@ -22,7 +22,8 @@ chunk rotates tree by tree, without numpy.  All give the same trees.
 ``fuzz-expr`` takes the same loop: each tree's label draws follow its
 shuffle's in the stream, so a batched chunk draws both in one batch,
 looks up each label's bound from the rotated trees, and hands the
-chunk on with a label id per node.
+chunk on with a label id per node; any other draws each tree's labels
+as one more ``_draw_chunk`` row, as ``render_expression`` does.
 
 Indexing: the rotation point ``k`` returned by ``find_rotation_point`` is
 both the 1-based position of the last symbol of the complete-expression
@@ -39,7 +40,7 @@ from functools import partial
 from . import rng
 from .degrees import DegreeMultiset, _charge_peak
 from .errors import NotConstructibleError
-from .rng import _draw_chunk
+from .rng import _draw_chunk, _draw_ids
 
 # Most words one chunk of many trees of sample_trees draws (512 KiB of
 # uint64, plus the shifted copy next_words holds while mixing); a single row
@@ -168,7 +169,8 @@ def _chunks(sequence, source, count: int, labels=None):
     # its tree's n - 1 shuffle words, and each turn yields the chunk and a
     # flat list of its ids.  A batch holds both draws of every tree, and
     # _draw_chunk keeps it only if no word is within n or the largest
-    # range's size of 2**64; otherwise both are drawn tree by tree.
+    # range's size of 2**64; otherwise both are drawn tree by tree, the
+    # labels as one more _draw_chunk row each, as render_expression draws them.
     n, typecode = len(sequence), memoryview(sequence).format
     # the sequence's type, and a mutable one to join rows in, from a list of ints or raw bytes
     chunk, row_type = (bytes, bytearray) if typecode == "B" else 2 * (partial(array, typecode),)
@@ -188,8 +190,7 @@ def _chunks(sequence, source, count: int, labels=None):
                 code = rotate(shuffled, find_rotation_point(shuffled))
                 flat += code
                 if labels:
-                    ranges = map(labels.__getitem__, code)
-                    marks += [r[source.next_below(len(r))] for r in ranges]
+                    marks += _draw_ids(source, list(map(labels.__getitem__, code)))
             flat = chunk(flat)
         elif len(batch) >= _COLUMN_ROWS:
             flat = _column_table(sequence, batch[:, : n - 1])

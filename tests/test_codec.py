@@ -796,6 +796,17 @@ class TestRenderExpression:
             rendered = render_expression(seq, ARITH, source, style="infix")
             assert parse_infix(rendered) == list(seq), rendered
 
+    def test_a_second_render_adds_no_infix_pieces(self):
+        # the alphabet keeps its infix table across renders
+        alphabet = OperatorAlphabet({0: ["x", "y"], 1: ["-"], 2: ["+", "*"]})
+        code = sample_tree(DegreeMultiset({0: 40, 1: 9, 2: 39}), RandomSource(3))
+        first = render_expression(code, alphabet, RandomSource(1), style="infix")
+        table = alphabet._pieces["infix"]
+        keys = set(table)
+        assert len(keys) > 10
+        assert render_expression(code, alphabet, RandomSource(1), style="infix") == first
+        assert alphabet._pieces["infix"] is table and set(table) == keys
+
 
 class TestBatchedLabels:
     # five symbols at every arity: next_below(5) rejects the word 2**64 - 1,

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from degtree import RandomSource, rng
@@ -129,3 +132,32 @@ def test_words_consumed_counts_every_path():
         source.rewind(3)
     with pytest.raises(AttributeError):
         source.words_consumed = 0
+
+
+def _uses(node, function=None):
+    # (name, innermost enclosing def) of each name or attribute read under
+    # node, called or not, so a bound method handed to map counts too
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Name, ast.Attribute)):
+            yield getattr(child, "attr", getattr(child, "id", None)), function
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _uses(child, inner)
+
+
+def test_draw_chunk_is_the_one_place_that_draws():
+    # Every batch, block, rewind and next_below fallback of the package goes
+    # through rng._draw_chunk, and next_word is read only by next_below.
+    drawing = {"next_below", "next_words", "rewind", "_kept", "next_word"}
+    found = {
+        (path.name, name, function)
+        for path in Path(rng.__file__).parent.glob("*.py")
+        for name, function in _uses(ast.parse(path.read_text(encoding="utf-8")))
+        if name in drawing
+    }
+    assert found == {
+        ("rng.py", "next_below", "_draw_chunk"),
+        ("rng.py", "next_words", "_draw_chunk"),
+        ("rng.py", "rewind", "_draw_chunk"),
+        ("rng.py", "_kept", "_draw_chunk"),
+        ("rng.py", "next_word", "next_below"),
+    }

@@ -686,17 +686,15 @@ class TestTableKernel:
         assert trees == reference
 
 
-def _block_sizes(words, block):
-    """The next_words batches of one row of words drawn with blocks of block words."""
-    return [words] if words <= block else [min(block, words - start) for start in range(0, words, block)]
-
-
 class TestRowBlocks:
     # A single row of more than rng._BLOCK_WORDS draws is drawn a block at a
-    # time, each kept or rewound by the batch rule; after a rewound block the
-    # rest of the row comes from next_below, so every path takes the chain's
-    # words.  Blocks of 64 words here, and one tree a chunk.
+    # time, each block by the one rule of rng._draw_chunk: kept whole, or
+    # rewound and drawn by next_below, and a block of fewer than
+    # rng._BATCH_WORDS words (the tail) drawn by next_below, so every path
+    # takes the chain's words.  Blocks of 64 words here, and one tree a chunk.
     BLOCK = 64
+    # the next_words batches of one row of each length
+    BATCHES = {BLOCK - 1: [BLOCK - 1], BLOCK: [BLOCK], BLOCK + 1: [BLOCK], 3 * BLOCK + 5: [BLOCK] * 3}
     FIVE = OperatorAlphabet({d: [f"s{d}{k}" for k in range(5)] for d in range(3)})
 
     def small_blocks(self, patch):
@@ -721,26 +719,30 @@ class TestRowBlocks:
         draw, rows = self.draws(words)[caller]
         fast, slow = RecordingSource(words), ScalarOnly(words)
         assert draw(fast) == draw(slow)
-        assert (fast.batches, fast.rewinds) == (_block_sizes(words, self.BLOCK) * rows, 0)
+        assert (fast.batches, fast.rewinds) == (self.BATCHES[words] * rows, 0)
         assert fast.words_consumed == slow._source.words_consumed == words * rows
 
     @pytest.mark.parametrize("caller", ["shuffle", "sample_trees", "labels"])
-    def test_rejected_second_block_hands_the_rest_to_next_below(self, caller, monkeypatch):
-        # word BLOCK + 1, the first of the second block, is 2**64 - 1, which
-        # next_below rejects for the bound 3 * BLOCK + 6 - BLOCK of the shuffle
-        # and the 5 symbols of every label: the first block is kept, the second
-        # rewound, and the rest of the row drawn by next_below
+    @pytest.mark.parametrize(
+        "rejected, rewinds",
+        [(1, 1), (BLOCK + 1, 1), (3 * BLOCK + 1, 0)],
+        ids=["first_block", "middle_block", "tail_block"],
+    )
+    def test_a_rejected_block_alone_comes_from_next_below(self, rejected, rewinds, caller, monkeypatch):
+        # word `rejected` of a 197-word row, the first of the first, second or
+        # 5-word tail block, is 2**64 - 1, which next_below rejects for every
+        # bound of the shuffle (3 * BLOCK + 6 down to 2, less the draws before
+        # it) and the 5 symbols of every label: a batched block that holds it
+        # is rewound and drawn by next_below, the tail is drawn so anyway, and
+        # every other block is batched, the ones after it too
         self.small_blocks(monkeypatch)
         words = 3 * self.BLOCK + 5
-        seed = (_unmix(2**64 - 1) - (self.BLOCK + 1) * _GOLDEN) % 2**64
-        probe = RandomSource(seed)
-        probe.next_words(self.BLOCK)
-        assert probe.next_word() == 2**64 - 1
+        seed = (_unmix(2**64 - 1) - rejected * _GOLDEN) % 2**64
+        assert RandomSource(seed).next_words(rejected)[-1] == 2**64 - 1
         draw, rows = self.draws(words)[caller]
         fast, slow = RecordingSource(seed), ScalarOnly(seed)
         assert draw(fast) == draw(slow)
-        later = _block_sizes(words, self.BLOCK) * (rows - 1)  # the trees after the first
-        assert (fast.batches, fast.rewinds) == ([self.BLOCK, self.BLOCK] + later, 1)
+        assert (fast.batches, fast.rewinds) == ([self.BLOCK] * 3 * rows, rewinds)
         assert fast.words_consumed == slow._source.words_consumed == words * rows + 1
         assert fast.next_word() == slow._source.next_word()
 
