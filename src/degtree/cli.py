@@ -7,6 +7,9 @@ degree constraints, 3 size bound exceeded: a multiset of more than
 enumeration bound for ``enumerate`` and ``stats``.  A reader that
 closes stdout early (``degtree ... | head -1``) ends the run with exit
 code 1 and no traceback.
+
+Every tree it prints is written by the codec's block writer, which picks
+how to write each chunk of codes from the chunk itself.
 """
 
 from __future__ import annotations
@@ -191,10 +194,8 @@ def _bounded_multiset(text: str) -> DegreeMultiset:
 def _write_trees(chunks, fmt: str, multiset: DegreeMultiset, alphabet: OperatorAlphabet | None = None) -> None:
     # The writer for sample, enumerate and fuzz-expr, of chunks as
     # sampling._tree_chunks yields them: each block is written once built.
-    if fmt == "prefix" and alphabet is None and max(multiset.counts) < 10:
-        fmt = "digits"
-    write, size = sys.stdout.write, multiset.total_nodes
-    for text in _blocks(chunks, size, fmt, alphabet=alphabet):
+    write = sys.stdout.write
+    for text in _blocks(chunks, multiset.total_nodes, fmt, alphabet=alphabet):
         write(text)
 
 

@@ -11,8 +11,10 @@ start level, the prefix charge the sampler's rotation reads.  Everything
 else takes an O(n) stack loop, the reference, which also raises for
 every malformed code.  Nothing recurses, so unary chains of millions of
 nodes are fine.  The renderers are one block writer, which the CLI also
-feeds the sampler's chunks, flat runs of whole codes; every format but
-dot writes one piece a node, looked up by its key in a table of pieces.
+feeds the sampler's chunks, flat runs of whole codes, and ``stats`` its
+outcomes.  It picks the writer from each chunk: prefix codes in bytes
+below 10 as one digit byte a node; every other format and chunk but dot
+as one piece a node, looked up by its key in a table of pieces.
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ _BLOCK = 1 << 12
 # made once per call, and of a run of whole trees whose structure numpy
 # reads at once; a larger tree's lines go in chunks of _BLOCK nodes, its
 # structure by the loop.  Runs of whole trees stay at _BLOCK nodes: runs of
-# 2^14 nodes raised the peak RSS of a render mix by about 1 MB.
+# 2^14 nodes raised the peak RSS of a render mix by about 1 MB.  At most
+# 2^16: the numpy kernel keeps a run's levels in uint16.
 _WHOLE_NODES = 1 << 14
 # Fewest nodes of a run whose structure numpy reads: a 256-node tree took
 # about as long by numpy as by the loop.
@@ -234,9 +237,9 @@ def _whole_structure(code, size: int, reads_parents: bool, reads_keys: bool):
     # then each -1 if they sum to -1 a tree.
     if rows[:, :-1].min(initial=0) < 0 or rows[:, -1].sum() != -len(rows):
         return None
-    # each node's level less one, plus size times its tree: below n, and
-    # uint16 sorts by radix
-    levels = np.empty(rows.shape, dtype=np.uint16 if n <= 1 << 16 else np.int32)
+    # each node's level less one, plus size times its tree: below n, at most
+    # _WHOLE_NODES, so uint16, which sorts by radix
+    levels = np.empty(rows.shape, dtype=np.uint16)
     levels[:, 1:] = rows[:, :-1]
     levels[:, 0] = 0
     del rows
@@ -298,25 +301,21 @@ def encode_prefix(tree: TreeNode) -> list[int]:
 
 def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
     """Yield the text of ``chunks``, each a flat run of whole ``size``-node
-    codes (``bytes`` for ``"digits"``), in ``fmt`` (a CLI format, or
-    ``"digits"``: codes with every degree below 10, as prefix lines), a
-    block at a time.  Given an ``alphabet``, ``fmt`` is an expression
-    style, ``"prefix"`` or ``"infix"``, and each chunk is a pair: the codes
-    and a list of the id of each node's symbol (see ``OperatorAlphabet``).
-    A chunk is cut into runs of as many whole trees as fill a block, and a
-    larger tree into runs of ``_BLOCK`` nodes (``_DIGIT_BLOCK`` for digits),
-    but dot writes a tree of up to ``_WHOLE_NODES`` nodes whole.
-    Each tree's text ends in ``end``, but a blank line separates dot trees
-    and a newline ends digit lines.  A block is one list of pieces, joined
-    once: one piece a node, looked up by its key (see :func:`_structure`),
-    but four a node for dot, whose names and arrows change with position.
+    codes, in ``fmt``, a CLI format, a block at a time.  Given an
+    ``alphabet``, ``fmt`` is an expression style, ``"prefix"`` or
+    ``"infix"``, and each chunk is a pair: the codes and a list of the id of
+    each node's symbol (see ``OperatorAlphabet``).  A ``bytes`` chunk of
+    prefix lines with every degree below 10 is written as digits, a byte
+    each; any other chunk, a list among them, from a table of pieces.  A
+    chunk is cut into runs of as many whole trees as fill a block, and a
+    larger tree into runs of ``_BLOCK`` nodes (``_DIGIT_BLOCK`` for
+    digits), but dot writes a tree of up to ``_WHOLE_NODES`` nodes whole.
+    Each tree's text ends in ``end``, but a blank line separates dot trees.
+    A block is one list of pieces, joined once: one piece a node, looked up
+    by its key (see :func:`_structure`), but four a node for dot, whose
+    names and arrows change with position.
     """
     header = "digraph tree {\n  "
-    # whole trees a run (a pass per code doubled the time of 3e5 three-node
-    # trees as digits), or digits of a larger tree; an empty code is one
-    # run, which _structure refuses
-    per = size * max((_DIGIT_BLOCK if fmt == "digits" else _BLOCK) // (size or 1), 1)
-    per = _DIGIT_BLOCK if fmt == "digits" and size > _DIGIT_BLOCK else per
     if fmt == "dot" and size <= _WHOLE_NODES:  # each position's name, arrow and edge tail, for one tree
         names = list(map(str, range(size)))
         arrows, tails = [name + " -> " for name in names], [name + ";\n  " for name in names]
@@ -324,8 +323,15 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
     joins = fmt == "infix" and alphabet._joins
     for chunk in chunks:
         chunk, marks = chunk if alphabet else (chunk, None)
+        digits = fmt == "prefix" and end == "\n" and not alphabet and isinstance(chunk, bytes)
+        digits = digits and not chunk.translate(None, bytes(range(10)))
+        block = _DIGIT_BLOCK if digits else _BLOCK
+        # whole trees a run (a pass per code doubled the time of 3e5 three-node
+        # trees as digits), or digits of a larger tree; an empty code is one
+        # run, which _structure refuses
+        per = block if digits and size > block else size * max(block // (size or 1), 1)
         for first, codes in _runs(chunk, per):
-            if fmt == "digits":  # each digit, then a space or a newline, is a byte
+            if digits:  # each digit, then a space or a newline, is a byte
                 out = bytearray(b" ") * (2 * len(codes))
                 out[::2] = codes.translate(_DIGITS)
                 ends = range(2 * ((size - 1 - first) % size) + 1, len(out), 2 * size)  # a tree's last node

@@ -1,11 +1,15 @@
-"""Empirical uniformity checks of the sampler over the enumerated space, in order."""
+"""Empirical uniformity checks of the sampler over the enumerated space, in order.
+
+A report's outcome list is the codec's prefix text of its outcomes, as
+JSON lists.
+"""
 
 from __future__ import annotations
 
 import struct
 from collections import Counter
 
-from .codec import _DIGITS
+from .codec import _blocks
 from .degrees import DegreeMultiset
 from .errors import _Record
 from .oracle import enumerate_trees
@@ -40,7 +44,16 @@ class FrequencyReport(_Record):
         head = json.dumps({"seed": self.seed, "samples": self.total_samples, "chi_square": self.chi_square,
                            "degrees_of_freedom": self.degrees_of_freedom})
         codes = list(self.outcome_counts)
-        outcomes = _codes_json(codes) or json.dumps(codes)
+        try:  # the codes as one flat code, if they are tuples of one length of bytes
+            (size,) = set(map(len, codes))
+            flat = b"".join(map(bytes, codes))  # refuses an item outside 0-255
+        except (TypeError, ValueError):
+            size = 0
+        if size and set(map(type, codes)) == {tuple}:  # their prefix lines, as JSON lists
+            lines = "".join(_blocks([flat], size, "prefix"))
+            outcomes = "[[" + lines[:-1].replace(" ", ", ").replace("\n", "], [") + "]]"
+        else:
+            outcomes = json.dumps(codes)
         counts = json.dumps(list(self.outcome_counts.values()))
         # what json.dumps writes with "outcomes" and "counts" added last
         return f'{head[:-1]}, "outcomes": {outcomes}, "counts": {counts}}}'
@@ -75,7 +88,7 @@ def uniformity_report(
     for (record,), observed in records.items():
         code = tuple(record)
         if code not in counts:
-            raise _outside(code)
+            raise RuntimeError(f"sampled code {code} outside the enumerated space")
         counts[code] = observed
     expected = samples / len(counts)
     chi_square = sum((observed - expected) ** 2 for observed in counts.values())
@@ -87,27 +100,3 @@ def uniformity_report(
         degrees_of_freedom=len(counts) - 1,
         seed=source.seed,
     )
-
-
-def _codes_json(codes: list[tuple[int, ...]]) -> str | None:
-    # json.dumps(codes) for tuples of one length whose degrees are all below
-    # 10, as in a space of at most 10 nodes, made without it: each code is
-    # "[d, d, ..., d]", so one slice assignment a position writes it.  None
-    # for any other codes.
-    try:
-        digits = b"".join(map(bytes, codes))  # refuses a degree that is no byte
-        (size,) = set(map(len, codes))
-    except (TypeError, ValueError):
-        return None
-    if set(map(type, codes)) != {tuple} or digits.translate(None, bytes(range(10))):
-        return None
-    width = 3 * size + 2
-    text = bytearray(b"[" + b", ".join([b"0"] * size) + b"], ") * len(codes)
-    digits = digits.translate(_DIGITS)
-    for position in range(size):
-        text[3 * position + 1 :: width] = digits[position::size]
-    return "[" + text[:-2].decode("ascii") + "]"
-
-
-def _outside(code: tuple[int, ...]) -> RuntimeError:
-    return RuntimeError(f"sampled code {code} outside the enumerated space")

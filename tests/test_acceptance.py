@@ -171,27 +171,27 @@ def test_criterion_8_linear_time_sampling():
     warmup = sample_tree(DegreeMultiset({0: 50001, 2: 50000}), RandomSource(0))
     assert is_well_formed(warmup)
 
-    def timed_runs(multiset, runs=10):
-        times = []
-        for seed in range(runs):
-            source = RandomSource(seed)
-            begin = time.perf_counter()
-            sample_tree(multiset, source)
-            times.append(time.perf_counter() - begin)
-        return statistics.median(times)
+    def timed(multiset, seed):
+        source = RandomSource(seed)
+        begin = time.perf_counter()
+        sample_tree(multiset, source)
+        return time.perf_counter() - begin
 
     code = sample_tree(million, RandomSource(123))
     assert is_well_formed(code)
     assert sorted(code) == million.to_sequence()
 
-    median_1m = timed_runs(million)
-    median_4m = timed_runs(four_million)
-    assert median_1m < 1.0, median_1m
-    assert median_4m <= 6 * median_1m, (median_1m, median_4m)
-    print(
-        f"PASS criterion 8: median {median_1m * 1000:.0f}ms at 1e6 nodes, "
+    # the two sizes alternate, seed by seed, so a change of load on the
+    # machine lands on both medians rather than on one
+    times = [(timed(million, seed), timed(four_million, seed)) for seed in range(10)]
+    median_1m, median_4m = (statistics.median(column) for column in zip(*times))
+    summary = (
+        f"median {median_1m * 1000:.0f}ms at 1e6 nodes, "
         f"{median_4m * 1000:.0f}ms at 4e6 (ratio {median_4m / median_1m:.2f}x)"
     )
+    assert median_1m < 1.0, summary
+    assert median_4m <= 6 * median_1m, summary
+    print(f"PASS criterion 8: {summary}")
 
 
 def test_criterion_9_round_trips_and_cli_golden(well_formed_family, capsys):

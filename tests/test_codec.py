@@ -1,5 +1,4 @@
 import inspect
-import io
 import itertools
 import json
 import random
@@ -274,14 +273,16 @@ assert '  0 [label="1"];' in to_dot([1, 0])
 def _written(chunks, fmt, multiset, block, cap):
     # What the CLI writes for chunks of trees, with blocks of at most block
     # nodes, and dot trees of at most cap nodes named from tables
-    out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codec, "_BLOCK", block)
         patch.setattr(codec, "_DIGIT_BLOCK", block)
         patch.setattr(codec, "_WHOLE_NODES", cap)
-        patch.setattr(sys, "stdout", out)
-        cli._write_trees(chunks, fmt, multiset)
-    return out.getvalue()
+        return "".join(codec._blocks(chunks, multiset.total_nodes, fmt))
+
+
+def _kind_name(kind):
+    # a chunk type's name in test ids; array's partial has none
+    return getattr(kind, "__name__", "array")
 
 
 # Each tree as the CLI writes it alone, from the public one-tree renders
@@ -334,20 +335,35 @@ class TestBlockWriter:
     @example(DegreeMultiset({0: 1}), 5, 0, 3, "dot", 2)
     @example(DegreeMultiset({0: 1}), 5, 0, 3, "json", 2)
     def test_blocks_equal_the_one_tree_renders(self, multiset, count, seed, block, fmt, cut):
-        # degrees up to 12: prefix with every degree below 10 has a writer of
-        # its own, which takes bytes.  The trees come as two flat chunks, cut
-        # after any tree, as bytes then a list and the other way round.
+        # degrees up to 12: a bytes chunk of prefix codes with every degree
+        # below 10 is written as digits, any other from the table.  The
+        # trees come as two flat chunks, cut after any tree, as bytes then
+        # a list and the other way round.
         trees = list(sample_trees(multiset, RandomSource(seed), count))
         separator = "\n" if fmt == "dot" else ""  # a blank line between dot trees
-        expected = separator.join(map(_ONE_TREE[fmt], trees))
+        expected = separator.join(map(_ONE_TREE[fmt], trees)).splitlines(True)
         flat = [degree for tree in trees for degree in tree]
         cut = multiset.total_nodes * (1 + cut % count)
-        kinds = [bytes] if fmt == "prefix" and max(multiset.counts) < 10 else [bytes, list]
-        for first, second in itertools.product(kinds, repeat=2):
+        for first, second in itertools.product([bytes, list], repeat=2):
             chunks = [first(flat[:cut]), second(flat[cut:])] if cut < len(flat) else [first(flat)]
             # dot trees of up to block nodes share runs, up to 2 * block
-            # are named from tables, and larger ones are written in chunks
-            assert _written(chunks, fmt, multiset, block, 2 * block) == expected, (first, second)
+            # are named from tables, and larger ones are written in chunks;
+            # lists of lines: pytest's diff of two long texts can take minutes
+            written = _written(chunks, fmt, multiset, block, 2 * block)
+            assert written.splitlines(True) == expected, (first, second)
+
+    @pytest.mark.parametrize("second", [bytes, list, bytearray, partial(array, "H")], ids=_kind_name)
+    @pytest.mark.parametrize("first", [bytes, list], ids=_kind_name)
+    def test_prefix_writer_is_picked_from_each_chunk(self, first, second):
+        # 11-node trees with every degree below 10, and one of degree 10, in
+        # chunks of two kinds: a bytes chunk below 10 is written as digits,
+        # any other from the table, and the lines join into one stream.
+        # Digits end each tree in a newline, so another end takes the table.
+        small, wide = [9, 1] + [0] * 9, [10] + [0] * 10
+        chunks = [first(small * 2), second(wide + small), first(small)]
+        for end in ["\n", ";"]:
+            expected = "".join(" ".join(map(str, tree)) + end for tree in [small, small, wide, small, small])
+            assert "".join(codec._blocks(chunks, 11, "prefix", end)) == expected, end
 
     @pytest.mark.parametrize("nodes", [-1, 0, 1], ids=["cap-1", "cap", "cap+1"])
     @pytest.mark.parametrize("wide", [False, True], ids=["binary", "degree-256"])
@@ -604,6 +620,10 @@ class TestStructureKernel:
         assert codec._whole_structure(code, 36, True, False)[1] is None
         assert next(codec._structure(code, 36))[2:] == (parents.tolist(), keys.tolist())
         assert parents.dtype == keys.dtype == np.int32
+
+    def test_runs_of_whole_trees_fit_the_kernels_uint16_levels(self):
+        # the kernel keeps a run's levels, each below its length, in uint16
+        assert codec._WHOLE_NODES <= 1 << 16
 
     @pytest.mark.parametrize(
         "fault", ["truncated", "trailing", "negative", "huge", "wrong_size"],

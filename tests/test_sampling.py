@@ -385,7 +385,7 @@ class TestSampleTrees:
         # a tree longer than _DIGIT_BLOCK is written in runs of _DIGIT_BLOCK
         # nodes, and only its last node takes the newline
         (flat,) = _tree_chunks(_binary_multiset(600_001), RandomSource(4), 1)
-        pieces = list(_blocks([flat], len(flat), "digits"))
+        pieces = list(_blocks([flat], len(flat), "prefix"))
         assert len(pieces) == 3 and max(map(len, pieces)) <= 2 * _DIGIT_BLOCK
         assert "".join(pieces) == " ".join(map(str, flat)) + "\n"
 

@@ -14,6 +14,8 @@ from degtree import (
 )
 from degtree import sampling
 
+from conftest import constructible_multisets
+
 
 def test_single_outcome_space_is_degenerate():
     report = uniformity_report(DegreeMultiset({0: 2, 2: 1}), 100, RandomSource(4))
@@ -96,17 +98,30 @@ def _payload(report):
      {0: 5, 1: 2, 2: 2, 3: 1}, {0: 9, 9: 1}, {0: 5, 1: 3, 5: 1}, {0: 1, 1: 9}],
 )
 def test_json_equals_json_dumps_of_the_payload(counts):
-    # the outcomes are written digit by digit, every degree being below 10
+    # the outcomes are written by the codec's digit writer, every degree being below 10
     report = uniformity_report(DegreeMultiset(counts), 500, RandomSource(3))
     assert report.to_json() == json.dumps(_payload(report))
 
 
+def test_json_of_every_small_space_equals_json_dumps():
+    # the outcome list is the codec's prefix lines of the outcomes, turned
+    # into JSON lists: the 31 constructible multisets of up to 8 nodes over
+    # degrees 0-3, each space's outcomes in one chunk
+    multisets = list(constructible_multisets(8, 3))
+    assert len(multisets) == 31
+    for multiset in multisets:
+        report = uniformity_report(multiset, 20, RandomSource(multiset.total_nodes))
+        assert report.to_json() == json.dumps(_payload(report)), multiset
+
+
 @pytest.mark.parametrize(
     "outcomes",
-    # degrees of 10 and more, codes of two lengths, no outcomes, values that are no bytes
-    [{(10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0): 2}, {(2, 0, 0): 1, (1, 0): 2}, {}, {(0,): 1, (300,): 0}, {(-1,): 3}],
+    # degrees of 10 and more, codes of two lengths, no outcomes, values that
+    # are no bytes, empty codes, codes that are no tuples
+    [{(10,) + (0,) * 10: 2}, {(12,) + (0,) * 12: 1, (11, 1) + (0,) * 11: 0}, {(2, 0, 0): 1, (1, 0): 2}, {},
+     {(0,): 1, (300,): 0}, {(-1,): 3}, {(): 1}, {"ab": 1}],
 )
-def test_json_of_other_outcomes_falls_back_to_json_dumps(outcomes):
+def test_json_of_hand_built_outcomes_equals_json_dumps(outcomes):
     report = FrequencyReport(outcomes, 5, 1.5, max(len(outcomes) - 1, 0), 7)
     assert report.to_json() == json.dumps(_payload(report))
 
