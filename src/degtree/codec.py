@@ -117,8 +117,8 @@ _JSON_PIECES = _Pieces(
 _PREFIX_PIECES = _Pieces(lambda d: f"{index(d)} ")
 _DOT_LABELS = _Pieces(lambda d: f' [label="{index(d)}"];\n  ')
 _TABLES = {"prefix": _PREFIX_PIECES, "sexpr": _SEXPR_PIECES, "json": _JSON_PIECES}
-# Byte d of a code with every degree below 10 becomes the ASCII digit d.
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+# Byte d of a code becomes the ASCII digit d, or "x" if d is 10 or more.
+_DIGITS = b"0123456789".ljust(256, b"x")
 # Most nodes in a block: whole trees, or a chunk of a larger tree.  A block
 # holds about 80 bytes a node, and the sexpr text of a tree is about 3
 # bytes a node.
@@ -310,7 +310,8 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
     chunk is cut into runs of as many whole trees as fill a block, and a
     larger tree into runs of ``_BLOCK`` nodes (``_DIGIT_BLOCK`` for
     digits), but dot writes a tree of up to ``_WHOLE_NODES`` nodes whole.
-    Each tree's text ends in ``end``, but a blank line separates dot trees.
+    Each tree's text ends in ``end``, but a blank line separates dot trees,
+    and prefix text, whose callers leave ``end`` alone, ends in a newline.
     A block is one list of pieces, joined once: one piece a node, looked up
     by its key (see :func:`_structure`), but four a node for dot, whose
     names and arrows change with position.
@@ -323,17 +324,19 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
     joins = fmt == "infix" and alphabet._joins
     for chunk in chunks:
         chunk, marks = chunk if alphabet else (chunk, None)
-        digits = fmt == "prefix" and end == "\n" and not alphabet and isinstance(chunk, bytes)
-        digits = digits and not chunk.translate(None, bytes(range(10)))
+        digits = fmt == "prefix" and not alphabet and isinstance(chunk, bytes)
+        if digits:  # the chunk's digits, read once: any "x" sends it to the table
+            text = chunk.translate(_DIGITS)
+            digits = b"x" not in text
         block = _DIGIT_BLOCK if digits else _BLOCK
         # whole trees a run (a pass per code doubled the time of 3e5 three-node
         # trees as digits), or digits of a larger tree; an empty code is one
         # run, which _structure refuses
         per = block if digits and size > block else size * max(block // (size or 1), 1)
-        for first, codes in _runs(chunk, per):
+        for first, codes in _runs(text if digits else chunk, per):
             if digits:  # each digit, then a space or a newline, is a byte
                 out = bytearray(b" ") * (2 * len(codes))
-                out[::2] = codes.translate(_DIGITS)
+                out[::2] = codes
                 ends = range(2 * ((size - 1 - first) % size) + 1, len(out), 2 * size)  # a tree's last node
                 out[ends.start :: ends.step] = b"\n" * len(ends)
                 yield out.decode("ascii")  # str, not bytes: output may be any text stream

@@ -6,16 +6,14 @@ For each mutant this copies ``src/``, ``tests/`` and ``pyproject.toml``
 once, and runs there, against the mutated copy:
 
 1. the tests the catalogue expects to kill it;
-2. unless ``--expected-only``, tier-1 without the golden-file and md5-pin
-   tests, which kill nearly every mutant that changes output and so hide
-   which other tests see it.
+2. tier-1 without the golden-file and md5-pin tests, which kill nearly
+   every mutant that changes output and so hide which other tests see it.
 
 It prints each run's failed tests, and exits 1 if any mutant survived
 its expected tests.  Usage, from the repository root::
 
     python tools/mutants.py                      # every mutant
     python tools/mutants.py sattolo_bounds       # one or more by name
-    python tools/mutants.py --expected-only      # only the expected killers
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ def failed_tests(copy: Path, args: list[str]) -> list[str]:
     return [line.split(" ", 1)[1].split(" - ", 1)[0] for line in lines if line.startswith(("FAILED ", "ERROR "))]
 
 
-def run(mutant: dict, expected_only: bool) -> bool:
+def run(mutant: dict) -> bool:
     """Plant mutant in a copy, print its kills, and return whether an expected test killed it."""
     with tempfile.TemporaryDirectory(prefix="degtree-mutant-") as tmp:
         copy = Path(tmp)
@@ -75,11 +73,10 @@ def run(mutant: dict, expected_only: bool) -> bool:
         print(f"{mutant['name']} ({mutant['file']}): {len(expected)} of the expected tests failed")
         for test in expected:
             print(f"  {test}")
-        if not expected_only:
-            others = failed_tests(copy, ["-k", UNPINNED, "--ignore", "tests/test_mutants.py"])
-            print(f"  tier-1 without goldens and md5 pins: {len(others)} failed")
-            for test in others:
-                print(f"    {test}")
+        others = failed_tests(copy, ["-k", UNPINNED, "--ignore", "tests/test_mutants.py"])
+        print(f"  tier-1 without goldens and md5 pins: {len(others)} failed")
+        for test in others:
+            print(f"    {test}")
         return bool(expected)
 
 
@@ -87,12 +84,11 @@ def main(argv: list[str] | None = None) -> int:
     mutants = catalogue()
     parser = argparse.ArgumentParser(description="Run the mutant catalogue against a copy of the package.")
     parser.add_argument("names", nargs="*", metavar="NAME", help="mutants to run (default: all)")
-    parser.add_argument("--expected-only", action="store_true", help="run only each mutant's expected killers")
     args = parser.parse_args(argv)
     if unknown := set(args.names).difference(m["name"] for m in mutants):
         parser.error(f"no mutant named {', '.join(sorted(unknown))}")
     chosen = [m for m in mutants if not args.names or m["name"] in args.names]
-    survivors = [m["name"] for m in chosen if not run(m, args.expected_only)]
+    survivors = [m["name"] for m in chosen if not run(m)]
     print(f"survived: {', '.join(survivors) or 'none'}")
     return 1 if survivors else 0
 
