@@ -4,7 +4,7 @@ Ground truth for the sampler.  ``enumerate_trees`` lists every code in
 lexicographic order, from one table of completions over the
 multiplicities still left.  ``count_trees`` evaluates the closed form
 ``(n-1)! / prod(m_d!)`` exactly, from the exponent of each prime in it
-(Legendre's formula) and a balanced product of the prime powers.  The
+(Legendre's formula) and a balanced product of runs of prime powers.  The
 test suite holds the two routes equal over a full sweep of small
 multisets before either is trusted.  numpy is imported only by the
 exponent step, so importing this module does not load it.
@@ -13,8 +13,8 @@ exponent step, so importing this module does not load it.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import compress, repeat
-from math import factorial, isqrt
+from itertools import compress, repeat, zip_longest
+from math import factorial, isqrt, prod
 from operator import mul
 
 # unused here; bench test_names_rebound_by_import_are_traced wraps oracle.is_well_formed
@@ -32,6 +32,10 @@ if TYPE_CHECKING:
 #: size of the result: no 10-node multiset has more than 756 trees
 #: (``{0: 5, 1: 2, 2: 2, 3: 1}``).
 DEFAULT_ENUMERATION_BOUND = 10
+
+# Prime powers a count leaf: the oracle benchmark's seven counts (1e3-6e4 nodes,
+# 2-core x86-64, median of 40) took 16-17 ms at 8-64, 19 at 4 and 25 at one.
+_LEAF_RUN = 8
 
 
 def enumerate_trees(
@@ -94,7 +98,8 @@ def count_trees(multiset: DegreeMultiset) -> int:
     multinomial counts the pairwise-different orderings of the degree
     list, and exactly one ordering in n is well-formed.  The count is
     the product of ``p**e`` over the primes p below n, with e from
-    Legendre's formula, multiplied in a balanced tree so that large
+    Legendre's formula: runs of powers multiplied into leaves of a few
+    machine words, and the leaves in a balanced tree, so that large
     counts cost quasi-linear time in their length.
 
     Unlike ``enumerate_trees`` it takes no node bound, and its prime
@@ -104,19 +109,25 @@ def count_trees(multiset: DegreeMultiset) -> int:
     Raises:
         NotConstructibleError: if the multiset charge differs from 1.
     """
-    primes, exponents = _count_exponents(multiset)
-    return _balanced_product(map(pow, primes, exponents), mul, 1)
+    return _balanced_product(_count_factors(multiset), mul, 1)
 
 
 def _count_decimal(multiset: DegreeMultiset) -> decimal.Decimal:
     # count_trees formed in decimal, where libmpdec multiplies long numbers
-    # by a number-theoretic transform and str() is linear; no
-    # binary-to-decimal conversion (quadratic in CPython) ever runs.
-    primes, exponents = _count_exponents(multiset)
+    # by a number-theoretic transform and str() is linear; only the small
+    # leaves are converted from binary (quadratic in CPython for long ints).
+    leaves = _count_factors(multiset)
     import decimal  # loaded only by the count command
 
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-    return _balanced_product(map(exact.power, primes, exponents), exact.multiply, 1)
+    return _balanced_product(map(decimal.Decimal, leaves), exact.multiply, 1)
+
+
+def _count_factors(multiset: DegreeMultiset) -> Iterable[int]:
+    # The count's leaves: products of runs of _LEAF_RUN p**e.  For k degrees
+    # e <= k (log_p(n) + 1) (Legendre), so p**e <= (pn)**k, a few words.
+    powers = map(pow, *_count_exponents(multiset))
+    return map(prod, zip_longest(*[powers] * _LEAF_RUN, fillvalue=1))
 
 
 def _count_exponents(multiset: DegreeMultiset) -> tuple[list[int], list[int]]:

@@ -54,6 +54,30 @@ MUTANTS = [
         "replacement": '_DIGITS = b"0123456789:".ljust(256, b"x")',
         "killers": [
             "tests/test_codec.py::TestBlockWriter::test_prefix_writer_is_picked_from_each_chunk",
+            "tests/test_codec.py::TestBlockWriter::test_blocks_equal_the_one_tree_renders",
+        ],
+    },
+    {
+        # the leaves group the prime powers with a truncating zip, so the
+        # last short run of powers drops out of the count
+        "name": "count_leaves_truncated",
+        "file": "oracle.py",
+        "text": "zip_longest(*[powers] * _LEAF_RUN, fillvalue=1)",
+        "replacement": "zip(*[powers] * _LEAF_RUN)",
+        "killers": [
+            "tests/test_oracle.py::TestCountAgainstCombChain::test_every_multiset_of_the_criterion_4_family",
+            "tests/test_oracle.py::TestCountAgainstCombChain::test_counts_past_the_int_string_limit",
+        ],
+    },
+    {
+        # a prime equal to a multiplicity m is left out of m!'s exponents
+        "name": "count_exponents_side_left",
+        "file": "oracle.py",
+        "text": 'side="right"',
+        "replacement": 'side="left"',
+        "killers": [
+            "tests/test_oracle.py::TestCountAgainstCombChain::test_every_multiset_of_the_criterion_4_family",
+            "tests/test_oracle.py::TestCountAgainstCombChain::test_catalan_numbers",
         ],
     },
     {

@@ -334,6 +334,7 @@ class TestBlockWriter:
     )
     @example(DegreeMultiset({0: 1}), 5, 0, 3, "dot", 2)
     @example(DegreeMultiset({0: 1}), 5, 0, 3, "json", 2)
+    @example(DegreeMultiset({0: 10, 10: 1}), 2, 0, 3, "prefix", 0)  # a degree of 10 in a bytes chunk
     def test_blocks_equal_the_one_tree_renders(self, multiset, count, seed, block, fmt, cut):
         # degrees up to 12: a bytes chunk of prefix codes with every degree
         # below 10 is written as digits, any other from the table.  The

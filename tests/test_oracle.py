@@ -149,6 +149,20 @@ class TestCountAgainstCombChain:
     def test_drawn_multisets(self, multiset):
         assert_count_equals_comb_chain(multiset)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {0: 4801, 1: 3600, 2: 2400, 3: 1200},
+            # the largest count of the oracle benchmark's sweep: 33 339 digits
+            {0: 24001, 1: 17999, 2: 12000, 3: 6000},
+            {0: 5812, 1: 1000, 2: 5000, 257: 2, 300: 1},
+        ],
+        ids=["12001-nodes", "60000-nodes", "degree-300"],
+    )
+    def test_counts_past_the_int_string_limit(self, counts):
+        # every count here has more than 4300 digits, which str(int) refuses
+        assert_count_equals_comb_chain(DegreeMultiset(counts))
+
 
 class TestCatalan:
     def test_known_prefix(self):
