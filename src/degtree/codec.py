@@ -23,6 +23,7 @@ from array import array
 from collections.abc import Mapping, Sequence
 from operator import index
 
+from . import rng
 from .errors import MissingArityError, TrailingSymbolsError, TruncatedCodeError, _Record
 from .rng import _BATCH_WORDS, _draw_ids
 
@@ -136,10 +137,6 @@ _KERNEL_NODES = 1 << 8
 # The codes numpy reads, by the buffer protocol, if their items are integers
 _BUFFERS = (bytes, bytearray, array, memoryview)
 _INT_FORMATS = frozenset("bBhHiIlLqQ")
-# Most nodes in a block of prefix digits: whole trees, or a run of a larger
-# tree.  Its text is twice its code's bytes.  Blocks of 2^12 nodes made
-# `sample --count` 3-10% slower on trees of 3 and 10 nodes.
-_DIGIT_BLOCK = 1 << 18
 
 
 def _runs(code: Sequence[int], cap: int, *rest):
@@ -299,7 +296,7 @@ def encode_prefix(tree: TreeNode) -> list[int]:
     return out
 
 
-def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
+def _blocks(chunks, size: int, fmt: str, alphabet=None):
     """Yield the text of ``chunks``, each a flat run of whole ``size``-node
     codes, in ``fmt``, a CLI format, a block at a time.  Given an
     ``alphabet``, ``fmt`` is an expression style, ``"prefix"`` or
@@ -307,11 +304,11 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
     each node's symbol (see ``OperatorAlphabet``).  A ``bytes`` chunk of
     prefix lines with every degree below 10 is written as digits, a byte
     each; any other chunk, a list among them, from a table of pieces.  A
-    chunk is cut into runs of as many whole trees as fill a block, and a
-    larger tree into runs of ``_BLOCK`` nodes (``_DIGIT_BLOCK`` for
-    digits), but dot writes a tree of up to ``_WHOLE_NODES`` nodes whole.
-    Each tree's text ends in ``end``, but a blank line separates dot trees,
-    and prefix text, whose callers leave ``end`` alone, ends in a newline.
+    chunk is cut into runs of as many whole trees as fill a block of
+    ``_BLOCK`` nodes, or of digits ``rng._BLOCK_WORDS``, the block of a long
+    tree's draws and rotation, and a larger tree into runs of a block, but
+    dot writes a tree of up to ``_WHOLE_NODES`` nodes whole.  Each tree's
+    text ends in a newline, and a blank line separates dot trees.
     A block is one list of pieces, joined once: one piece a node, looked up
     by its key (see :func:`_structure`), but four a node for dot, whose
     names and arrows change with position.
@@ -328,7 +325,9 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
         if digits:  # the chunk's digits, read once: any "x" sends it to the table
             text = chunk.translate(_DIGITS)
             digits = b"x" not in text
-        block = _DIGIT_BLOCK if digits else _BLOCK
+        # digit text is twice its code's bytes; blocks of 2^12 nodes made
+        # `sample --count` 3-10% slower on trees of 3 and 10 nodes
+        block = rng._BLOCK_WORDS if digits else _BLOCK
         # whole trees a run (a pass per code doubled the time of 3e5 three-node
         # trees as digits), or digits of a larger tree; an empty code is one
         # run, which _structure refuses
@@ -372,16 +371,16 @@ def _blocks(chunks, size: int, fmt: str, end: str = "\n", alphabet=None):
                     structure = _runs(codes, _BLOCK, None, None)
                 else:  # infix reads both lists, sexpr and json only keys
                     structure = _structure(codes, size, _BLOCK, reads_parents=alphabet is not None)
-                yield from _stream_text(structure, table, size, end, labels, joins)
+                yield from _stream_text(structure, table, size, labels, joins)
             header = "\ndigraph tree {\n  "
 
 
-def _stream_text(structure, table, size: int, end: str, labels=None, joins=None):
+def _stream_text(structure, table, size: int, labels=None, joins=None):
     # The text of each run that structure yields, from position start in a
     # stream of size-node codes: one piece a node from table, by its item
     # (prefix), its key (sexpr, json), or given the symbol ids of the codes
     # (labels), by its id (a prefix expression) or, given the symbols' joins,
-    # its infix key.  A tree's last piece ends in end in place of its
+    # its infix key.  A tree's last piece ends in a newline in place of its
     # separator; infix pieces have none.
     for start, run, parents, keys in structure:
         ids = labels and labels[start : start + len(run)]
@@ -395,7 +394,7 @@ def _stream_text(structure, table, size: int, end: str, labels=None, joins=None)
             pieces[0] = joins[labels[parents[0]]] + pieces[0]
         first = (size - 1 - start) % size  # the first node of the run that ends a tree
         cut = 0 if joins else 1
-        pieces[first::size] = [piece[: len(piece) - cut] + end for piece in pieces[first::size]]
+        pieces[first::size] = [piece[: len(piece) - cut] + "\n" for piece in pieces[first::size]]
         yield "".join(pieces)
 
 
@@ -410,13 +409,13 @@ def _dot_lines(firsts, seconds, length: int) -> list[str]:
 
 def to_sexpr(code: Sequence[int]) -> str:
     """Parenthesised preorder: leaves as ``0``, a degree-d node as ``(d c1 ... cd)``."""
-    return "".join(_blocks([code], len(code), "sexpr", ""))
+    return "".join(_blocks([code], len(code), "sexpr"))[:-1]
 
 
 def to_json(code: Sequence[int]) -> str:
     """Compact JSON nesting ``{"degree": d, "children": [...]}``; parses back
     (for example with ``json.loads``) to a structure mirroring the tree."""
-    return "".join(_blocks([code], len(code), "json", ""))
+    return "".join(_blocks([code], len(code), "json"))[:-1]
 
 
 def to_dot(code: Sequence[int]) -> str:
@@ -456,4 +455,4 @@ def render_expression(
     infix = style == "infix"
     runs = [run if infix else (*run[:2], None, None) for run in _structure(code, 0, _BLOCK, infix, infix)]
     labels = _draw_ids(source, list(map(alphabet._labels(set(code)).__getitem__, code)))
-    return "".join(_stream_text(runs, alphabet._pieces[style], len(code), "", labels, infix and alphabet._joins))
+    return "".join(_stream_text(runs, alphabet._pieces[style], len(code), labels, infix and alphabet._joins))[:-1]

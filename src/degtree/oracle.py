@@ -109,7 +109,7 @@ def count_trees(multiset: DegreeMultiset) -> int:
     Raises:
         NotConstructibleError: if the multiset charge differs from 1.
     """
-    return _balanced_product(_count_factors(multiset), mul, 1)
+    return _balanced_product(_count_factors(multiset), mul)
 
 
 def _count_decimal(multiset: DegreeMultiset) -> decimal.Decimal:
@@ -120,7 +120,7 @@ def _count_decimal(multiset: DegreeMultiset) -> decimal.Decimal:
     import decimal  # loaded only by the count command
 
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-    return _balanced_product(map(decimal.Decimal, leaves), exact.multiply, 1)
+    return _balanced_product(map(decimal.Decimal, leaves), exact.multiply)
 
 
 def _count_factors(multiset: DegreeMultiset) -> Iterable[int]:
@@ -170,7 +170,7 @@ def _factorial_exponents(m: int, primes: np.ndarray) -> np.ndarray:
     return exponents
 
 
-def _balanced_product(factors: Iterable, multiply, one):
+def _balanced_product(factors: Iterable, multiply):
     # A binary counter over the factors: after factor i the stack holds one
     # partial product per set bit of i, of 2**bit factors each.  Every
     # multiplication joins two products of as many factors, and only
@@ -181,7 +181,7 @@ def _balanced_product(factors: Iterable, multiply, one):
             factor = multiply(stack.pop(), factor)
             i >>= 1
         stack.append(factor)
-    product = one
+    product = 1
     for partial in reversed(stack):
         product = multiply(partial, product)
     return product

@@ -23,6 +23,18 @@ MUTANTS = [
         ],
     },
     {
+        # a long row's kept blocks are never released, so every block of
+        # draws stays alive until the row is done
+        "name": "row_blocks_kept",
+        "file": "rng.py",
+        "text": "            block.release()\n",
+        "replacement": "            pass\n",
+        "killers": [
+            "tests/test_sampling.py::TestSampleTrees::test_one_long_tree_peaks_below_8_bytes_a_node",
+            "tests/test_sampling.py::TestSampleTrees::test_one_long_wide_tree_peaks_below_12_bytes_a_node",
+        ],
+    },
+    {
         # the column kernel never swaps position 1 with position 0
         "name": "column_table_last_swap",
         "file": "sampling.py",
@@ -55,6 +67,138 @@ MUTANTS = [
         "killers": [
             "tests/test_codec.py::TestBlockWriter::test_prefix_writer_is_picked_from_each_chunk",
             "tests/test_codec.py::TestBlockWriter::test_blocks_equal_the_one_tree_renders",
+        ],
+    },
+    {
+        # the numpy kernel takes a negative degree of a signed buffer
+        "name": "kernel_sign_check",
+        "file": "codec.py",
+        "text": " or (view.format.islower() and degrees.min() < 0)",
+        "replacement": "",
+        "killers": [
+            "tests/test_codec.py::TestStructureKernel::test_malformed_buffers_past_the_thresholds_raise_as_the_loop_does",
+            "tests/test_codec.py::TestBlockWriter::test_malformed_codes_raise_as_decode_prefix_does",
+        ],
+    },
+    {
+        # the numpy kernel takes a degree no tree of its size holds, which
+        # can wrap round in its int32 counts
+        "name": "kernel_degree_check",
+        "file": "codec.py",
+        "text": "top >= size or ",
+        "replacement": "",
+        "killers": [
+            "tests/test_codec.py::TestStructureKernel::test_malformed_buffers_past_the_thresholds_raise_as_the_loop_does",
+        ],
+    },
+    {
+        # the numpy kernel takes a tree whose slots all close before its end
+        "name": "kernel_open_slot_check",
+        "file": "codec.py",
+        "text": "rows[:, :-1].min(initial=0) < 0 or ",
+        "replacement": "",
+        "killers": [
+            "tests/test_codec.py::TestStructureKernel::test_malformed_buffers_past_the_thresholds_raise_as_the_loop_does",
+            "tests/test_codec.py::TestBlockWriter::test_malformed_codes_raise_as_decode_prefix_does",
+        ],
+    },
+    {
+        # the numpy kernel takes a tree left with open slots at its end
+        "name": "kernel_last_count_check",
+        "file": "codec.py",
+        "text": " or rows[:, -1].sum() != -len(rows)",
+        "replacement": "",
+        "killers": [
+            "tests/test_codec.py::TestStructureKernel::test_malformed_buffers_past_the_thresholds_raise_as_the_loop_does",
+            "tests/test_codec.py::TestBlockWriter::test_malformed_codes_raise_as_decode_prefix_does",
+        ],
+    },
+    {
+        # the numpy kernel links each later root to the root before it
+        "name": "kernel_root_reset",
+        "file": "codec.py",
+        "text": "        parents[::size] = -1\n",
+        "replacement": "",
+        "killers": [
+            "tests/test_codec.py::TestStructureKernel::test_kernel_equals_the_loop_on_random_forests",
+            "tests/test_codec.py::TestStructureKernel::test_kernel_equals_the_loop_either_side_of_its_thresholds",
+        ],
+    },
+    {
+        # one round of pointer jumping too few: a late child of a wide node
+        # links to an earlier sibling
+        "name": "kernel_jump_round",
+        "file": "codec.py",
+        "text": "range(max(top - 2, 0).bit_length())",
+        "replacement": "range(max(top - 2, 0).bit_length() - 1)",
+        "killers": [
+            "tests/test_codec.py::TestStructureKernel::test_kernel_equals_the_loop_on_random_forests",
+            "tests/test_codec.py::TestStructureKernel::test_kernel_equals_the_loop_either_side_of_its_thresholds",
+        ],
+    },
+    {
+        # the numpy kernel's leaves after the first close one node too few
+        "name": "kernel_leaf_key",
+        "file": "codec.py",
+        "text": "ranks[:-1] - ranks[1:] + 1",
+        "replacement": "ranks[:-1] - ranks[1:]",
+        "killers": [
+            "tests/test_codec.py::TestStructureKernel::test_kernel_equals_the_loop_on_random_forests",
+            "tests/test_codec.py::TestStructureKernel::test_kernel_equals_the_loop_either_side_of_its_thresholds",
+        ],
+    },
+    {
+        # the loop counts the virtual parent of each root as a node it closes
+        "name": "loop_root_count",
+        "file": "codec.py",
+        "text": "                    count += 1  # the virtual parent is no node\n",
+        "replacement": "",
+        "killers": [
+            "tests/test_codec.py::TestSexpr::test_examples",
+            "tests/test_codec.py::TestStreamReference::test_writer_equals_the_reference",
+        ],
+    },
+    {
+        # a run of infix text that starts at a later sibling loses its join
+        "name": "infix_first_join",
+        "file": "codec.py",
+        "text": "pieces[0] = joins[labels[parents[0]]] + pieces[0]",
+        "replacement": "pieces[0] = pieces[0]",
+        "killers": [
+            "tests/test_codec.py::TestStreamReference::test_writer_equals_the_reference",
+        ],
+    },
+    {
+        # a run's last infix piece takes the join of node 0, the root, where
+        # the next run's first piece already starts with its own
+        "name": "infix_last_parent_zero",
+        "file": "codec.py",
+        "text": "parents[1:] + [-1]",
+        "replacement": "parents[1:] + [0]",
+        "killers": [
+            "tests/test_codec.py::TestStreamReference::test_writer_equals_the_reference",
+        ],
+    },
+    {
+        # a tree's last infix piece loses its last character to the newline
+        "name": "infix_pieces_cut",
+        "file": "codec.py",
+        "text": "cut = 0 if joins else 1",
+        "replacement": "cut = 1",
+        "killers": [
+            "tests/test_codec.py::TestStreamReference::test_writer_equals_the_reference",
+            "tests/test_codec.py::TestRenderExpression::test_forced_choices",
+        ],
+    },
+    {
+        # a prefix expression's symbols are followed by two spaces
+        "name": "prefix_expression_space",
+        "file": "codec.py",
+        "text": '[symbol + " " for symbol in self._symbols]',
+        "replacement": '[symbol + "  " for symbol in self._symbols]',
+        "killers": [
+            "tests/test_codec.py::TestStreamReference::test_writer_equals_the_reference",
+            "tests/test_codec.py::TestRenderExpression::test_forced_choices",
         ],
     },
     {

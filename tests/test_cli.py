@@ -296,6 +296,10 @@ _NINES = "9" * 4000
 _NINES_CHARGE = "-" + "9" * 3999 + "7" + "0" * 3999 + "2"
 # 10**4300 leaves and 10**4300 - 1 binary nodes: a tree of 4301-digit size
 _HUGE_TREE = f"0:{'9' * 4300},0:1,2:{'9' * 4300}"
+# one digit past the int-to-str digit limit, where there is one
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_PAST_THE_LIMIT = "9" * (_DIGIT_LIMIT + 1)
+_HAS_DIGIT_LIMIT = pytest.mark.skipif(not _DIGIT_LIMIT, reason="this Python has no int-to-str digit limit")
 
 
 class TestIntStringLimit:
@@ -568,6 +572,25 @@ class TestFuzzExpr:
         assert (code, out) == (1, "")
         assert err == f"degtree: error: alphabet arity key {key!r} is not an integer\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"0": "x", "2": ["+"]}', "alphabet entry for arity 0 must be a list"),
+            ('{"0": [], "2": ["+"]}', "bad alphabet file {path!r}: arity 0 has an empty symbol list"),
+            ('{"0": ["x", 1], "2": ["+"]}', "bad alphabet file {path!r}: arity 0 has non-string symbols"),
+            ('{"0": ["x"], "-1": ["y"], "2": ["+"]}', "bad alphabet file {path!r}: arity must be non-negative, got -1"),
+        ],
+        ids=["not_a_list", "empty", "non_string", "negative_arity"],
+    )
+    def test_alphabet_entry_is_a_list_of_symbols(self, capsys, tmp_path, text, message):
+        alphabet = tmp_path / "alphabet.json"
+        alphabet.write_text(text)
+        code, out, err = run(
+            ["fuzz-expr", "--degrees", "0:2,2:1", "--alphabet", str(alphabet), "--seed", "1"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == f"degtree: error: {message.format(path=str(alphabet))}\n"
+
     def test_arity_key_past_the_limit_is_an_alphabet_error(self, capsys, tmp_path):
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if not limit:
@@ -622,14 +645,24 @@ class TestUsageErrors:
             (["sample", "--degrees", "0,0,2", "--count", "-3"], "positive"),
             (["sample", "--degrees", "0,0,2", "--seed", str(2**64 + 7)], "2**64"),
             (["stats", "--degrees", "0:3,2:2", "--samples", "-1"], "positive"),
+            pytest.param(["sample", "--degrees", "0,0,2", "--count", _PAST_THE_LIMIT],
+                         f"error: argument --count: expected a positive integer, got '{_PAST_THE_LIMIT}'\n",
+                         marks=_HAS_DIGIT_LIMIT),
+            pytest.param(["stats", "--degrees", "0:3,2:2", "--samples", _PAST_THE_LIMIT],
+                         f"error: argument --samples: expected a positive integer, got '{_PAST_THE_LIMIT}'\n",
+                         marks=_HAS_DIGIT_LIMIT),
+            pytest.param(["sample", "--degrees", "0,0,2", "--seed", _PAST_THE_LIMIT],
+                         f"error: argument --seed: invalid int value: '{_PAST_THE_LIMIT}'\n",
+                         marks=_HAS_DIGIT_LIMIT),
         ],
-        ids=["negative_count", "seed_beyond_64_bits", "negative_samples_unseeded"],
+        ids=["negative_count", "seed_beyond_64_bits", "negative_samples_unseeded",
+             "count_past_the_digit_limit", "samples_past_the_digit_limit", "seed_past_the_digit_limit"],
     )
     def test_out_of_range_numbers_rejected_before_any_work(self, capsys, argv, message):
         code, out, err = run(argv, capsys)
         assert (code, out) == (1, "")
         assert message in err
-        assert "seed=" not in err
+        assert "seed=" not in err and "Traceback" not in err
 
 
 _GOLDEN_CASES = [

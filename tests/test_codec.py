@@ -41,7 +41,7 @@ from degtree import (
     to_json,
     to_sexpr,
 )
-from degtree import cli, codec
+from degtree import cli, codec, rng
 from degtree.rng import _GOLDEN
 
 
@@ -275,7 +275,7 @@ def _written(chunks, fmt, multiset, block, cap):
     # nodes, and dot trees of at most cap nodes named from tables
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codec, "_BLOCK", block)
-        patch.setattr(codec, "_DIGIT_BLOCK", block)
+        patch.setattr(rng, "_BLOCK_WORDS", block)
         patch.setattr(codec, "_WHOLE_NODES", cap)
         return "".join(codec._blocks(chunks, multiset.total_nodes, fmt))
 
@@ -516,6 +516,8 @@ class TestStreamReference:
     @example(DegreeMultiset({0: 1, 1: 70}), 2, 0, "list", "json", 7, False)
     @example(DegreeMultiset({0: 1, 1: 70}), 2, 0, "H", "infix", 4096, True)
     @example(DegreeMultiset({0: 12, 1: 2, 12: 1}), 3, 1, "I", "prefix", 5, True)
+    # infix runs of 3 nodes, some starting at a later sibling, whose join they begin with
+    @example(DegreeMultiset({0: 4, 2: 3}), 3, 0, "list", "infix", 3, False)
     def test_writer_equals_the_reference(self, multiset, count, seed, kind, fmt, block, kernel):
         size, style = multiset.total_nodes, fmt.removesuffix(" expression")
         trees = list(sample_trees(multiset, RandomSource(seed), count))
@@ -625,7 +627,7 @@ class TestStructureKernel:
         assert codec._WHOLE_NODES <= 1 << 16
 
     @pytest.mark.parametrize(
-        "fault", ["truncated", "trailing", "negative", "huge", "wrong_size"],
+        "fault", ["truncated", "trailing", "negative", "huge", "wrong_size", "float"],
     )
     def test_malformed_buffers_past_the_thresholds_raise_as_the_loop_does(self, fault):
         tree = sample_tree(DegreeMultiset({0: 101, 1: 98, 2: 50, 3: 25}), RandomSource(4))
@@ -636,6 +638,8 @@ class TestStructureKernel:
             "negative": array("b", [tree[0] + 2, -1] + tree[1:]),
             "huge": array("Q", tree[:100] + [2**63 + 1] + tree[101:]),
             "wrong_size": array("Q", tree[:100] + [len(tree)] + tree[101:]),
+            # not integers: the kernel leaves it to the loop, which raises TypeError
+            "float": array("d", tree),
         }[fault]
         code = bytes(code) if type(code) is list else code
         assert codec._KERNEL_NODES <= len(code) <= codec._WHOLE_NODES
@@ -644,7 +648,7 @@ class TestStructureKernel:
         def outcome(read):
             try:
                 read(code)
-            except (ValueError, MalformedCodeError) as exc:
+            except (TypeError, ValueError, MalformedCodeError) as exc:
                 return type(exc), str(exc), getattr(exc, "position", None)
             return None
 

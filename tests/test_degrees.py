@@ -193,6 +193,7 @@ class TestDegreeMultiset:
         assert a == b
         assert hash(a) == hash(b)
         assert a != DegreeMultiset({0: 2, 3: 1})
+        assert DegreeMultiset({0: 1}) != {0: 1} and DegreeMultiset({0: 1}).__eq__({0: 1}) is NotImplemented
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from degtree import (
     sample_trees,
 )
 from degtree import OperatorAlphabet, rng, sampling
-from degtree.codec import _DIGIT_BLOCK, _blocks, render_expression
+from degtree.codec import _blocks, render_expression
 from degtree.rng import _GOLDEN
 from degtree.sampling import _COLUMN_ROWS, _chunks, _rotated, _swapped, _tree_chunks
 
@@ -382,11 +382,11 @@ class TestSampleTrees:
         assert peak / len(flat) < 12
 
     def test_one_long_digit_line_in_blocks(self):
-        # a tree longer than _DIGIT_BLOCK is written in runs of _DIGIT_BLOCK
+        # a tree longer than rng._BLOCK_WORDS is written in runs of that many
         # nodes, and only its last node takes the newline
         (flat,) = _tree_chunks(_binary_multiset(600_001), RandomSource(4), 1)
         pieces = list(_blocks([flat], len(flat), "prefix"))
-        assert len(pieces) == 3 and max(map(len, pieces)) <= 2 * _DIGIT_BLOCK
+        assert len(pieces) == 3 and max(map(len, pieces)) <= 2 * rng._BLOCK_WORDS
         assert "".join(pieces) == " ".join(map(str, flat)) + "\n"
 
     @pytest.mark.parametrize("size", [1023, 1024, 1025, 5000, 100_000])
